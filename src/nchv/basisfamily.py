@@ -11,6 +11,7 @@ move bounded by a per-member budget that halves at each family index.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from itertools import permutations
 from pathlib import Path
@@ -23,10 +24,9 @@ from .opcore import (
     basis_distance,
     basis_from_json,
     basis_to_json,
-    nontrivial_masks,
-    pairwise_commutator_norms,
+    incompatibility_stack,
+    min_commutator_norm,
     require_same_dim,
-    subset_projections,
 )
 
 DEFAULT_FLOOR = 1e-8
@@ -166,17 +166,12 @@ def random_nearby_basis(basis: OrthonormalBasis, radius: float, rng: np.random.G
     return OrthonormalBasis(u @ basis.mat)
 
 
-def _nontrivial_stack(basis: OrthonormalBasis) -> np.ndarray:
-    return subset_projections(basis, nontrivial_masks(basis.dim))
-
-
 def min_cross_commutator_norm(first: OrthonormalBasis, second: OrthonormalBasis) -> float:
     """Smallest |[P, P']| over nonempty proper subset projections of each basis."""
     require_same_dim(first.mat, second.mat)
     if first.dim < 2:
         raise ValidationError("total incompatibility needs dimension >= 2")
-    norms = pairwise_commutator_norms(_nontrivial_stack(first), _nontrivial_stack(second))
-    return float(norms.min())
+    return min_commutator_norm(incompatibility_stack(first), [incompatibility_stack(second)])
 
 
 def totally_incompatible(first: OrthonormalBasis, second: OrthonormalBasis, floor: float = DEFAULT_FLOOR) -> bool:
@@ -184,13 +179,6 @@ def totally_incompatible(first: OrthonormalBasis, second: OrthonormalBasis, floo
     if floor <= 0:
         raise ValidationError("floor must be positive")
     return min_cross_commutator_norm(first, second) > floor
-
-
-def _clears(stack: np.ndarray, predecessor_stacks, floor: float) -> bool:
-    for other in predecessor_stacks:
-        if pairwise_commutator_norms(stack, other).min() <= floor:
-            return False
-    return True
 
 
 def repair_member(
@@ -218,10 +206,8 @@ def repair_member(
     preds = list(predecessors)
     if index is None:
         index = len(preds) + 1
-    if _predecessor_stacks is None:
-        _predecessor_stacks = [_nontrivial_stack(p.basis) for p in preds]
-    cand_stack = _nontrivial_stack(candidate)
-    if _clears(cand_stack, _predecessor_stacks, floor):
+    stacks = _predecessor_stacks or [incompatibility_stack(p.basis) for p in preds]
+    if min_commutator_norm(incompatibility_stack(candidate), stacks, floor) > floor:
         return FamilyMember(index, candidate, Provenance(seed, 0, 0.0))
     if rng is None:
         raise ValidationError("candidate needs repair but no rng was supplied")
@@ -231,7 +217,7 @@ def repair_member(
         for _ in range(attempts_per_radius):
             attempts += 1
             moved = random_nearby_basis(candidate, radius, rng)
-            if _clears(_nontrivial_stack(moved), _predecessor_stacks, floor):
+            if min_commutator_norm(incompatibility_stack(moved), stacks, floor) > floor:
                 dist = basis_distance(candidate, moved)
                 return FamilyMember(index, moved, Provenance(seed, attempts, dist))
         radius /= 2
@@ -246,7 +232,8 @@ def generate_family(n: int, count: int, seed: int, net_bound: float = DEFAULT_NE
     """Grow a family of ``count`` pairwise totally incompatible bases.
 
     Member m gets repair budget min(net_bound, 2**-m), so the sequence of
-    raw pseudo-uniform draws is disturbed less and less as it grows.
+    raw pseudo-uniform draws is disturbed less and less as it grows; from
+    m = 1075 on, where 2**-m underflows, it is the smallest positive float.
     Deterministic: the same seed reproduces the family bit for bit.
     """
     if n < 2:
@@ -260,12 +247,12 @@ def generate_family(n: int, count: int, seed: int, net_bound: float = DEFAULT_NE
     stacks: list[np.ndarray] = []
     for m in range(1, count + 1):
         raw = haar_basis(n, rng)
-        budget = min(net_bound, 2.0 ** (-m))
+        budget = max(min(net_bound, 2.0 ** (-m)), math.ulp(0.0))
         member = repair_member(
             raw, members, budget, floor, rng, index=m, seed=seed, _predecessor_stacks=stacks
         )
         members.append(member)
-        stacks.append(_nontrivial_stack(member.basis))
+        stacks.append(incompatibility_stack(member.basis))
     return BasisFamily(
         dim=n, net_bound=float(net_bound), floor=float(floor), seed=int(seed), members=tuple(members)
     )

@@ -88,14 +88,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_json(path):
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_targets(path):
     data = _load_json(path)
-    entries = data if isinstance(data, list) else data["members"]
-    if not entries:
-        raise ValidationError("empty target list")
+    entries = data.get("members") if isinstance(data, dict) else data
+    if not isinstance(entries, list) or not entries:
+        raise ValidationError(f"{path} holds no target list")
     return [operator_from_json(entry) for entry in entries]
 
 

@@ -237,27 +237,25 @@ def find_truth_functions(problem: ValuationProblem, limit=None,
                     ones[ci] -= 1
             values[v] = -1
 
-    def search() -> bool:
-        nonlocal nodes
-        var = next((i for i in range(n) if values[i] == -1), None)
-        if var is None:
-            solutions.append(tuple(values))
-            return limit is not None and len(solutions) >= limit
-        for val in (0, 1):
+    # branches still to try, deepest last: (trail length before it, variable, value)
+    pending = [(0, None, None)]
+    while pending:
+        mark, var, val = pending.pop()
+        undo(mark)
+        if var is not None:
             nodes += 1
             if nodes > node_budget:
                 raise SearchCapError(f"truth-function search exceeded {node_budget} nodes")
-            mark = len(trail)
-            ok = assign(var, val)
-            if ok and search():
-                undo(mark)
-                return True
-            undo(mark)
-        return False
-
-    capped = search()
-    return SearchResult(tuple(solutions), not capped, nodes)
-
+            if not assign(var, val):
+                continue
+        var = next((i for i in range(n) if values[i] == -1), None)
+        if var is None:
+            solutions.append(tuple(values))
+            if limit is not None and len(solutions) >= limit:
+                return SearchResult(tuple(solutions), False, nodes)
+        else:
+            pending += [(len(trail), var, 1), (len(trail), var, 0)]
+    return SearchResult(tuple(solutions), True, nodes)
 
 def verify_solution(problem: ValuationProblem, values) -> bool:
     """Recheck a candidate assignment against every resolution."""
@@ -293,8 +291,11 @@ def load_fixture(path) -> ValuationProblem:
     {"dim", "operators", "resolutions"?} with full operator payloads. A
     missing resolutions key triggers discovery.
     """
-    data = json.loads(Path(path).read_text())
-    dim = int(data["dim"])
+    try:
+        data = json.loads(Path(path).read_text())
+        dim = int(data["dim"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"cannot read fixture {path}: {exc}") from exc
     if "vectors" in data:
         operators = []
         for entry in data["vectors"]:

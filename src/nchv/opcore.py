@@ -19,6 +19,7 @@ STRUCT_TOL = 1e-12
 ALGEBRA_TOL = 1e-10
 SPECTRAL_TOL = 1e-9
 EIGEN_MERGE_TOL = 1e-8
+SCAN_CHUNK = 4096  # commutators per batched call in min_commutator_norm
 
 __all__ = [
     "STRUCT_TOL",
@@ -32,6 +33,7 @@ __all__ = [
     "spectral_norms",
     "commutator",
     "pairwise_commutator_norms",
+    "min_commutator_norm",
     "is_hermitian",
     "check_projection",
     "check_density",
@@ -43,6 +45,7 @@ __all__ = [
     "nontrivial_masks",
     "subset_projection",
     "subset_projections",
+    "incompatibility_stack",
     "HermitianObservable",
     "operator_to_json",
     "operator_from_json",
@@ -95,6 +98,23 @@ def pairwise_commutator_norms(stack_a: np.ndarray, stack_b: np.ndarray) -> np.nd
     ab = np.einsum("aij,bjk->abik", stack_a, stack_b)
     ba = np.einsum("bij,ajk->abik", stack_b, stack_a)
     return spectral_norms(ab - ba)
+
+
+def min_commutator_norm(stack: np.ndarray, others, stop_at: float = -np.inf) -> float:
+    """Smallest |[P, Q]| for P in ``stack`` and Q in any stack of the sequence ``others``.
+
+    Each batched pairwise_commutator_norms call takes as many others as fit in
+    SCAN_CHUNK commutators (at least one), so temporaries stay small whatever
+    the family size; the scan stops after the first chunk at or below ``stop_at``.
+    """
+    step = max(1, SCAN_CHUNK // len(stack) ** 2)
+    best = np.inf
+    for lo in range(0, len(others), step):
+        chunk = np.concatenate(others[lo:lo + step])
+        best = min(best, float(pairwise_commutator_norms(stack, chunk).min()))
+        if best <= stop_at:
+            break
+    return best
 
 
 def is_hermitian(op, tol: float = STRUCT_TOL) -> bool:
@@ -219,15 +239,9 @@ def nontrivial_masks(n: int) -> list[int]:
 
 def subset_projection(basis: OrthonormalBasis, mask: int) -> np.ndarray:
     """Projection onto the span of the basis vectors selected by ``mask``."""
-    n = basis.dim
-    if not 0 <= mask < (1 << n):
-        raise ValidationError(f"mask {mask} out of range for dimension {n}")
-    atoms = atom_projections(basis)
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        if (mask >> i) & 1:
-            out += atoms[i]
-    return out
+    if not 0 <= mask < (1 << basis.dim):
+        raise ValidationError(f"mask {mask} out of range for dimension {basis.dim}")
+    return subset_projections(basis, [mask])[0]
 
 
 def subset_projections(basis: OrthonormalBasis, masks) -> np.ndarray:
@@ -236,6 +250,16 @@ def subset_projections(basis: OrthonormalBasis, masks) -> np.ndarray:
     atoms = atom_projections(basis)
     sel = np.array([[(m >> i) & 1 for i in range(n)] for m in masks], dtype=float)
     return np.tensordot(sel, atoms, axes=1)
+
+
+def incompatibility_stack(basis: OrthonormalBasis) -> np.ndarray:
+    """Subset projections of ``basis`` for the masks 1 ... 2**(n-1)-1.
+
+    These hold one of each complementary pair of nonempty proper subsets.
+    Since [1 - P, Q] = -[P, Q], a scan over them on both sides meets every
+    commutator norm of the nontrivial masks with a quarter of the pairs.
+    """
+    return subset_projections(basis, range(1, 1 << (basis.dim - 1)))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ guarantees, so they accept arbitrary assignments as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -22,10 +22,12 @@ from .opcore import (
     SPECTRAL_TOL,
     atom_projections,
     check_density,
+    incompatibility_stack,
+    min_commutator_norm,
     nontrivial_masks,
     operator_norm,
     pairwise_commutator_norms,
-    subset_projections,
+    subset_projection,
 )
 
 __all__ = [
@@ -48,11 +50,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ProjectionBlock:
-    """All subset projections of one basis, keyed by atom bitmask."""
+    """The atoms of one basis; its subset projections are keyed by atom bitmask."""
 
     member: FamilyMember
     atoms: tuple[np.ndarray, ...]
-    elements: dict = field(repr=False)
 
     @property
     def index(self) -> int:
@@ -67,29 +68,17 @@ class ProjectionBlock:
         return (1 << self.n) - 1
 
     def element(self, mask: int) -> np.ndarray:
-        try:
-            return self.elements[mask]
-        except KeyError:
-            raise ValidationError(f"mask {mask} not in block {self.index}") from None
+        """The projection onto the atoms in ``mask``, computed on each call."""
+        return subset_projection(self.member.basis, mask)
 
 
 def build_block(member: FamilyMember) -> ProjectionBlock:
-    """Construct the 2**n subset projections spanned by a family member."""
-    basis = member.basis
-    n = basis.dim
-    atoms = atom_projections(basis)
-    elements: dict[int, np.ndarray] = {0: np.zeros((n, n), dtype=complex)}
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        elements[mask] = elements[mask ^ low] + atoms[low.bit_length() - 1]
-    if operator_norm(elements[(1 << n) - 1] - np.eye(n)) > ALGEBRA_TOL:
+    """Construct the block spanned by a family member from its atoms."""
+    atoms = atom_projections(member.basis)
+    if operator_norm(atoms.sum(axis=0) - np.eye(len(atoms))) > ALGEBRA_TOL:
         raise ValidationError("atoms do not sum to the identity within 1e-10")
-    for arr in elements.values():
-        arr.setflags(write=False)
-    atom_tuple = tuple(atoms[i] for i in range(n))
-    for arr in atom_tuple:
-        arr.setflags(write=False)
-    return ProjectionBlock(member=member, atoms=atom_tuple, elements=elements)
+    atoms.setflags(write=False)
+    return ProjectionBlock(member=member, atoms=tuple(atoms))
 
 
 class PartialBooleanAlgebra:
@@ -316,17 +305,8 @@ def block_structure_extremes(pba: PartialBooleanAlgebra):
     The first should sit at roundoff level and the second clearly above the
     family floor: compatibility happens inside blocks and nowhere else.
     """
-    stacks = [
-        subset_projections(b.member.basis, nontrivial_masks(b.n)) for b in pba.blocks
-    ]
-    max_within = 0.0
-    for stack in stacks:
-        norms = pairwise_commutator_norms(stack, stack)
-        iu = np.triu_indices(len(stack), k=1)
-        if iu[0].size:
-            max_within = max(max_within, float(norms[iu].max()))
-    min_cross = np.inf
-    for i in range(len(stacks)):
-        for j in range(i + 1, len(stacks)):
-            min_cross = min(min_cross, float(pairwise_commutator_norms(stacks[i], stacks[j]).min()))
-    return max_within, float(min_cross)
+    stacks = [incompatibility_stack(b.member.basis) for b in pba.blocks]
+    upper = np.triu_indices(len(stacks[0]), k=1)
+    max_within = max(pairwise_commutator_norms(s, s)[upper].max(initial=0.0) for s in stacks)
+    min_cross = min(min_commutator_norm(s, stacks[i + 1:]) for i, s in enumerate(stacks))
+    return float(max_within), float(min_cross)

@@ -224,12 +224,18 @@ def realize_povm(request: MeasurementRequest, registry: ResolutionRegistry,
     """
     if request.kind != "povm":
         raise ValidationError("not a positive-operator request")
+    return _povm_draw(request, registry, rng_apparatus)[0]
+
+
+def _povm_draw(request, registry, rng_apparatus):
+    """``realize_povm``'s pick and the candidates it was drawn from, in one registry scan."""
     cands = registry.candidates_within(request.povm_targets, request.precision)
     if cands:
-        return cands[int(rng_apparatus.integers(len(cands)))]
+        return cands[int(rng_apparatus.integers(len(cands)))], cands
     half = request.precision / 2.0
     base = snap_resolution(request.povm_targets, half)
-    return registry.register(base, half)
+    chosen = registry.register(base, half)
+    return chosen, [chosen]
 
 
 def _grouped_outcomes(cand_ids: np.ndarray, dists, rng: np.random.Generator) -> np.ndarray:
@@ -350,10 +356,7 @@ def run_trials(request: MeasurementRequest, n_trials: int, context: SimulationCo
     else:
         if context.registry is None:
             raise ValidationError("positive-operator run needs a registry in the context")
-        chosen = realize_povm(request, context.registry, rng_app)
-        cands = context.registry.candidates_within(request.povm_targets, request.precision)
-        if chosen not in cands:
-            cands.append(chosen)
+        _, cands = _povm_draw(request, context.registry, rng_app)
         labels = tuple(range(cands[0].k))
         dists = [_povm_weights(density, c.members) for c in cands]
         realized_ids = [c.index for c in cands]

@@ -20,7 +20,7 @@ from nchv.basisfamily import (
     totally_incompatible,
 )
 from nchv.errors import RepairExhaustedError, ValidationError
-from nchv.opcore import OrthonormalBasis, basis_distance
+from nchv.opcore import OrthonormalBasis, basis_distance, nontrivial_masks, subset_projection
 
 HADAMARD = OrthonormalBasis(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 STD2 = OrthonormalBasis(np.eye(2))
@@ -61,6 +61,18 @@ def test_standard_vs_hadamard_min_commutator_is_half():
 def test_a_basis_is_never_incompatible_with_itself():
     assert min_cross_commutator_norm(STD2, STD2) == 0.0
     assert not totally_incompatible(STD2, STD2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_min_cross_norm_matches_brute_force_over_all_masks(n):
+    rng = np.random.default_rng(100 + n)
+    first, second = haar_basis(n, rng), haar_basis(n, rng)
+    brute = min(
+        np.linalg.norm(p @ q - q @ p, 2)
+        for p in (subset_projection(first, a) for a in nontrivial_masks(n))
+        for q in (subset_projection(second, b) for b in nontrivial_masks(n))
+    )
+    assert min_cross_commutator_norm(first, second) == pytest.approx(brute, rel=1e-12)
 
 
 def test_incompatibility_needs_dimension_two():
@@ -123,6 +135,13 @@ class TestGenerateFamily:
 
     def test_displacement_respects_shrinking_budget(self):
         fam = generate_family(3, 8, seed=11)
+        for m in fam.members:
+            assert m.provenance.distance_moved <= min(fam.net_bound, 2.0 ** -m.index)
+
+    def test_grows_past_the_float_underflow_of_the_budget(self):
+        # 2.0 ** -m is 0.0 from m = 1075 on; the budget stays positive
+        fam = generate_family(2, 1100, seed=3)
+        assert len(fam) == 1100
         for m in fam.members:
             assert m.provenance.distance_moved <= min(fam.net_bound, 2.0 ** -m.index)
 

@@ -165,6 +165,20 @@ class TestKscheck:
         assert "stopped at the limit" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, payload", [
+    (("kscheck", "--fixture", "{dir}/bad.json"), '{"dim": 3, "vectors": ['),
+    (("kscheck", "--fixture", "{dir}/missing.json"), None),
+    (("povm", "snap", "--targets", "{dir}/bad.json", "--eps", 0.01, "--out", "{dir}/x.json"),
+     '{"resolution": []}'),
+], ids=["malformed-json", "missing-file", "targets-without-members"])
+def test_unreadable_input_exits_four(tmp_path, capsys, argv, payload):
+    if payload is not None:
+        (tmp_path / "bad.json").write_text(payload)
+    code = run_cli(*(str(a).format(dir=tmp_path) for a in argv))
+    assert code == 4
+    assert "error:" in capsys.readouterr().err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "nchv", "--help"],

@@ -1,5 +1,6 @@
 """Truth-function search: small oracles, brute-force cross-checks, the fixture."""
 
+import gc
 import itertools
 import json
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from nchv.basisfamily import generate_family
 from nchv.errors import SearchCapError, ValidationError
 from nchv.kscheck import (
+    ValuationProblem,
     build_problem,
     discover_resolutions,
     find_truth_functions,
@@ -138,6 +140,25 @@ class TestFindTruthFunctions:
         assert set(res.solutions) == brute_force(prob)
         # shared atom true: one solution; otherwise 2x2 independent picks
         assert len(res.solutions) == 1 + 4
+
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        pair = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        problem = ValuationProblem(pair * 1100, tuple((2 * i, 2 * i + 1) for i in range(1100)), 2)
+        result = find_truth_functions(problem, limit=1)
+        assert len(result.solutions) == 1 and not result.exhausted
+        assert verify_solution(problem, result.solutions[0])
+        assert result.solutions[0][:4] == (0, 1, 0, 1)
+
+    def test_search_leaves_no_garbage_cycle(self, family10):
+        problem = problem_from_family(family10, count=4)
+        gc.collect()
+        gc.disable()
+        try:
+            find_truth_functions(problem)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestVerifySolution:

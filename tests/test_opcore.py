@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from helpers import random_density, random_hermitian
 from nchv.errors import DimensionMismatchError, ValidationError
+from nchv import opcore
 from nchv.opcore import (
     ALGEBRA_TOL,
+    SCAN_CHUNK,
     STRUCT_TOL,
     HermitianObservable,
     OrthonormalBasis,
@@ -19,6 +21,8 @@ from nchv.opcore import (
     check_density,
     check_projection,
     commutator,
+    incompatibility_stack,
+    min_commutator_norm,
     nontrivial_masks,
     operator_from_json,
     operator_norm,
@@ -216,3 +220,44 @@ class TestOperatorJson:
     def test_malformed_payload(self):
         with pytest.raises(ValidationError):
             operator_from_json({"dim": 2, "re": [[1, 0], [0, 1]]})
+
+
+def random_basis(n, rng):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return OrthonormalBasis(np.linalg.qr(z)[0])
+
+
+class TestIncompatibilityScan:
+    def test_stack_holds_one_of_each_complementary_pair(self):
+        basis = random_basis(4, seeded(31))
+        stack = incompatibility_stack(basis)
+        assert len(stack) == 7
+        assert np.array_equal(stack, subset_projections(basis, range(1, 8)))
+
+    def test_chunked_min_over_many_stacks(self):
+        rng = seeded(33)
+        stack = incompatibility_stack(random_basis(5, rng))
+        step = SCAN_CHUNK // len(stack) ** 2
+        others = [incompatibility_stack(random_basis(5, rng)) for _ in range(2 * step + 3)]
+        each = [pairwise_commutator_norms(stack, other).min() for other in others]
+        assert min_commutator_norm(stack, others) == pytest.approx(min(each), rel=1e-12)
+
+    def test_no_others_gives_inf(self):
+        stack = incompatibility_stack(random_basis(2, seeded(34)))
+        assert min_commutator_norm(stack, []) == np.inf
+
+    def test_stops_after_the_first_chunk_at_or_below_the_threshold(self, monkeypatch):
+        rng = seeded(35)
+        stack = incompatibility_stack(random_basis(5, rng))
+        step = SCAN_CHUNK // len(stack) ** 2
+        others = [stack] + [incompatibility_stack(random_basis(5, rng)) for _ in range(2 * step)]
+        calls = []
+        real = opcore.pairwise_commutator_norms
+
+        def counted(a, b):
+            calls.append(len(b))
+            return real(a, b)
+
+        monkeypatch.setattr(opcore, "pairwise_commutator_norms", counted)
+        assert min_commutator_norm(stack, others, 1e-8) <= 1e-8
+        assert calls == [step * len(stack)]

@@ -34,7 +34,9 @@ def _std_block(n=3):
 class TestBuildBlock:
     def test_has_all_subset_elements(self, pba10):
         block = pba10.block(1)
-        assert len(block.elements) == 8
+        direct = subset_projections(block.member.basis, range(8))
+        for mask in range(8):
+            assert operator_norm(block.element(mask) - direct[mask]) < 1e-12
         assert operator_norm(block.element(0)) == 0.0
         assert operator_norm(block.element(7) - np.eye(3)) < 1e-10
 

@@ -169,6 +169,23 @@ class TestRunTrialsPovm:
         run_trials(req, 1000, ctx)
         assert len(reg.entries) == 1
 
+    def test_one_registry_scan_per_run(self, monkeypatch):
+        scans = []
+        real = ResolutionRegistry.candidates_within
+
+        def counted(self, targets, eps):
+            scans.append(eps)
+            return real(self, targets, eps)
+
+        monkeypatch.setattr(ResolutionRegistry, "candidates_within", counted)
+        rng = np.random.default_rng(26)
+        req = MeasurementRequest.povm(random_resolution(2, 3, rng), 0.02)
+        ctx = SimulationContext(random_density(2, rng), registry=ResolutionRegistry(2))
+        run_trials(req, 100, ctx)
+        assert len(scans) == 1
+        run_trials(req, 100, ctx)
+        assert len(scans) == 2 and len(ctx.registry) == 1
+
     def test_realized_members_stay_within_precision(self):
         rng = np.random.default_rng(25)
         targets = random_resolution(2, 2, rng)
