@@ -10,11 +10,9 @@ move bounded by a per-member budget that halves at each family index.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from itertools import permutations
-from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +24,9 @@ from .opcore import (
     basis_to_json,
     incompatibility_stack,
     min_commutator_norm,
+    read_json,
     require_same_dim,
+    write_json,
 )
 
 DEFAULT_FLOOR = 1e-8
@@ -124,15 +124,15 @@ class BasisFamily:
                 seed=int(obj["seed"]),
                 members=members,
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed family object: {exc}") from exc
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), sort_keys=True, indent=1))
+        write_json(self.to_json(), path)
 
     @classmethod
     def load(cls, path) -> "BasisFamily":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(read_json(path))
 
 
 def haar_basis(n: int, rng: np.random.Generator) -> OrthonormalBasis:

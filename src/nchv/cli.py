@@ -22,7 +22,7 @@ from pathlib import Path
 from .basisfamily import BasisFamily, generate_family
 from .errors import NCHVError, NoCandidateError, PrecisionError, ValidationError
 from .kscheck import find_truth_functions, load_fixture
-from .opcore import operator_from_json
+from .opcore import operator_from_json, read_json
 from .povmfamily import ResolutionRegistry, snap_resolution
 from .simulator import MeasurementRequest, SimulationContext, run_trials
 
@@ -87,15 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_json(path):
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-
-
 def _load_targets(path):
-    data = _load_json(path)
+    data = read_json(path)
     entries = data.get("members") if isinstance(data, dict) else data
     if not isinstance(entries, list) or not entries:
         raise ValidationError(f"{path} holds no target list")
@@ -139,9 +132,9 @@ def _cmd_family_gen(args) -> int:
 
 
 def _cmd_simulate(args, kind: str) -> int:
-    density = operator_from_json(_load_json(args.state))
+    density = operator_from_json(read_json(args.state))
     if kind == "pvm":
-        target = operator_from_json(_load_json(args.target))
+        target = operator_from_json(read_json(args.target))
         request = MeasurementRequest.pvm(target, args.eps,
                                          apparatus_seed=args.seed_app,
                                          system_seed=args.seed_sys)

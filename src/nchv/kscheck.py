@@ -148,9 +148,10 @@ def discover_resolutions(operators, ranks=None, *,
     ident = np.eye(dim)
     found: list[tuple[int, ...]] = []
     nodes = 0
-
-    def extend(start, chosen, total, rank):
-        nonlocal nodes
+    # levels still to scan, deepest last: (next index, chosen, partial sum, rank)
+    pending = [(0, (), np.zeros((dim, dim), dtype=complex), 0)]
+    while pending:
+        start, chosen, total, rank = pending.pop()
         for j in range(start, len(ops)):
             nodes += 1
             if nodes > node_budget:
@@ -166,11 +167,11 @@ def discover_resolutions(operators, ranks=None, *,
                 continue
             if r == dim:
                 if operator_norm(gap) <= SPECTRAL_TOL:
-                    found.append(tuple(chosen + (j,)))
+                    found.append(chosen + (j,))
                 continue
-            extend(j + 1, chosen + (j,), s, r)
-
-    extend(0, (), np.zeros((dim, dim), dtype=complex), 0)
+            # descend into j; this level resumes at j + 1 once that subtree is done
+            pending += [(j + 1, chosen, total, rank), (j + 1, chosen + (j,), s, r)]
+            break
     return found
 
 

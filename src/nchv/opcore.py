@@ -4,12 +4,16 @@ Operators are plain complex128 numpy arrays of shape (n, n). Ordered
 orthonormal bases get a thin immutable wrapper because vector order is
 significant for the basis metric. Everything downstream shares one
 tolerance ladder: structural identities at 1e-12, derived algebra at
-1e-10, spectral and other iterative results at 1e-9 and 1e-8.
+1e-10, spectral and other iterative results at 1e-9 and 1e-8. The JSON
+file helpers at the end read and write family, registry and CLI input files.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +55,8 @@ __all__ = [
     "operator_from_json",
     "basis_to_json",
     "basis_from_json",
+    "read_json",
+    "write_json",
 ]
 
 
@@ -342,3 +348,29 @@ def basis_from_json(obj) -> OrthonormalBasis:
             raise ValidationError("malformed basis vector entry")
         cols.append(np.array(re, dtype=float) + 1j * np.array(im, dtype=float))
     return OrthonormalBasis(np.column_stack(cols))
+
+
+def read_json(path):
+    """Parse a JSON file; an unreadable or malformed file raises ValidationError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+def write_json(obj, path) -> None:
+    """Write ``obj`` as JSON (sorted keys, indent 1) to ``path`` atomically.
+
+    The text goes to a fresh file in the same directory, which then replaces
+    ``path`` in one rename: a failed write leaves the old file untouched and
+    removes its own partial file.
+    """
+    path = Path(path)
+    text = json.dumps(obj, sort_keys=True, indent=1)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

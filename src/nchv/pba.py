@@ -124,7 +124,11 @@ def born_weights(density: np.ndarray, block: ProjectionBlock) -> np.ndarray:
     negative, or a total farther than 1e-9 from 1, means the state and the
     block disagree and raises WeightNormalizationError.
     """
-    d = check_density(density)
+    return _atom_weights(check_density(density), block)
+
+
+def _atom_weights(d: np.ndarray, block: ProjectionBlock) -> np.ndarray:
+    # born_weights for a density that has already passed check_density
     v = block.member.basis.mat
     if v.shape[0] != d.shape[0]:
         raise ValidationError("state and block dimensions differ")
@@ -138,12 +142,15 @@ def born_weights(density: np.ndarray, block: ProjectionBlock) -> np.ndarray:
     return w / total
 
 
-def sample_block_valuations(density, block: ProjectionBlock, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` independent chosen atoms from the block's Born weights."""
-    w = born_weights(density, block)
+def _draw_atoms(w: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
     cum = np.cumsum(w)
     cum[-1] = 1.0
     return np.searchsorted(cum, rng.random(size), side="right").astype(np.int64)
+
+
+def sample_block_valuations(density, block: ProjectionBlock, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` independent chosen atoms from the block's Born weights."""
+    return _draw_atoms(born_weights(density, block), rng, size)
 
 
 def sample_block_valuation(density, block: ProjectionBlock, rng: np.random.Generator) -> int:
@@ -169,7 +176,8 @@ class TruthValuation:
     def populate(self, block: ProjectionBlock) -> int:
         atom = self.chosen.get(block.index)
         if atom is None:
-            atom = sample_block_valuation(self.density, block, self.rng)
+            # the constructor validated the density, so no block rechecks it
+            atom = int(_draw_atoms(_atom_weights(self.density, block), self.rng, 1)[0])
             self.chosen[block.index] = atom
         return atom
 

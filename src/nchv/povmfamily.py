@@ -13,12 +13,10 @@ numpy enters only when a rational operator is projected down to floats.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 
@@ -36,8 +34,11 @@ from .opcore import (
     dagger,
     is_hermitian,
     operator_norm,
+    read_json,
     require_same_dim,
+    spectral_norms,
     validate_resolution,
+    write_json,
 )
 
 DEFAULT_DENOMINATOR_CAP = 2**32
@@ -583,6 +584,23 @@ def phase_tag(base: RationalResolution, index: int) -> TaggedResolution:
     return TaggedResolution(index=index, base=base, theta=theta, tag=tag, members=members)
 
 
+# relative slack on Frobenius prefilters, far above their roundoff, so a
+# prefilter never drops a member that the exact SVD would keep
+_FRO_SLACK = 1e-12
+
+
+def _stacked_members(entries, n: int):
+    """Float members of ``entries`` as one (M, n, n) stack, with each member's registry index."""
+    stack = np.array([m for e in entries for m in e.members], dtype=complex).reshape(-1, n, n)
+    owners = np.array([e.index for e in entries for _ in e.members], dtype=np.int64)
+    return stack, owners
+
+
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix in a (..., n, n) stack."""
+    return np.sqrt(np.einsum("...ij,...ij->...", stack, stack.conj()).real)
+
+
 class ResolutionRegistry:
     """Registered tagged resolutions with strictly distinct indices.
 
@@ -591,6 +609,11 @@ class ResolutionRegistry:
     A numeric guard rejects registrations whose members come within
     1e-9 of an existing member of another resolution; with exact bases
     and distinct indices that would signal an arithmetic bug.
+
+    Lookup and the guard each make one vectorised pass over the stacked
+    float members of ``entries``. Since |X|_F / sqrt(n) <= |X| <= |X|_F,
+    one batched Frobenius table rules out every entry whose lower bound
+    already misses, and a single batched SVD decides the few survivors.
     """
 
     def __init__(self, dim: int):
@@ -626,59 +649,50 @@ class ResolutionRegistry:
         return tagged
 
     def _check_disjoint(self, tagged: TaggedResolution) -> None:
-        sqrt_n = math.sqrt(self.dim)
-        for new in tagged.members:
-            for other in self.entries:
-                for old in other.members:
-                    fro = float(np.linalg.norm(new - old))
-                    if fro / sqrt_n > DISJOINTNESS_FLOOR:
-                        continue
-                    if operator_norm(new - old) <= DISJOINTNESS_FLOOR:
-                        raise RegistryCollisionError(
-                            f"member of new registration coincides with one of index {other.index}"
-                        )
+        old, owners = _stacked_members(self.entries, self.dim)
+        diff = np.array(tagged.members)[:, None] - old[None]
+        near = _frobenius(diff) <= DISJOINTNESS_FLOOR * math.sqrt(self.dim) * (1 + _FRO_SLACK)
+        for i, j in np.argwhere(near):
+            if operator_norm(diff[i, j]) <= DISJOINTNESS_FLOOR:
+                raise RegistryCollisionError(
+                    f"member of new registration coincides with one of index {owners[j]}"
+                )
 
     def candidates_within(self, targets, eps: float) -> list[TaggedResolution]:
         """Registered resolutions whose members match ``targets`` indexwise within eps."""
         mats = [as_operator(t) for t in targets]
-        out = []
-        for entry in self.entries:
-            if entry.k != len(mats) or entry.dim != mats[0].shape[0]:
-                continue
-            dist = max(operator_norm(mats[i] - entry.members[i]) for i in range(len(mats)))
-            if dist < eps:
-                out.append(entry)
-        return out
+        n = require_same_dim(*mats)
+        pool = [e for e in self.entries if e.k == len(mats) and e.dim == n]
+        diff = np.array(mats) - _stacked_members(pool, n)[0].reshape(len(pool), len(mats), n, n)
+        # an entry with a member whose lower bound fro/sqrt(n) reaches eps is out
+        near = np.flatnonzero(_frobenius(diff).max(axis=1) < eps * math.sqrt(n) * (1 + _FRO_SLACK))
+        if not near.size:
+            return []
+        dist = spectral_norms(diff[near]).max(axis=1)
+        return [pool[i] for i in near[dist < eps]]
 
     def min_cross_member_distance(self) -> float:
         """Smallest spectral distance between members of distinct resolutions."""
-        mats = []
-        owners = []
-        for entry in self.entries:
-            for m in entry.members:
-                mats.append(m.ravel())
-                owners.append(entry.index)
-        if len(mats) < 2:
+        stack, owners = _stacked_members(self.entries, self.dim)
+        if len(stack) < 2:
             return float("inf")
-        flat = np.array(mats)
-        owners = np.array(owners)
+        flat = stack.reshape(len(stack), -1)
         sq = np.einsum("ij,ij->i", flat, flat.conj()).real
         gram = (flat @ flat.conj().T).real
         dist2 = np.clip(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0, None)
         fro = np.sqrt(dist2)
         cross = owners[:, None] != owners[None, :]
-        upper = np.arange(len(mats))[:, None] < np.arange(len(mats))[None, :]
+        upper = np.arange(len(flat))[:, None] < np.arange(len(flat))[None, :]
         pairs = np.argwhere(cross & upper)
         order = np.argsort(fro[pairs[:, 0], pairs[:, 1]])
         best = float("inf")
         sqrt_n = math.sqrt(self.dim)
-        n = self.dim
         # the spectral norm sits in [fro/sqrt(n), fro]; walking pairs by
         # Frobenius distance lets the scan stop as soon as no pair can win
         for a, b in pairs[order]:
             if fro[a, b] >= best * sqrt_n:
                 break
-            spec = operator_norm(flat[a].reshape(n, n) - flat[b].reshape(n, n))
+            spec = operator_norm(stack[a] - stack[b])
             best = min(best, spec)
         return best
 
@@ -697,19 +711,21 @@ class ResolutionRegistry:
             reg = cls(int(obj["dim"]))
             for entry in obj["entries"]:
                 base = RationalResolution.from_json(entry["base"])
+                if base.dim != reg.dim:
+                    raise ValidationError("registry entry dimension does not match the registry")
                 tagged = phase_tag(base, int(entry["index"]))
                 reg.entries.append(tagged)
                 reg._used.add(tagged.index)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed registry object: {exc}") from exc
         return reg
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), sort_keys=True, indent=1))
+        write_json(self.to_json(), path)
 
     @classmethod
     def load(cls, path) -> "ResolutionRegistry":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(read_json(path))
 
 
 def _povm_weights(density, members) -> np.ndarray:

@@ -159,6 +159,28 @@ class TestGenerateFamily:
         for a, b in zip(fam.members, again.members):
             assert np.array_equal(a.basis.mat, b.basis.mat)
 
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "fam.json"
+        generate_family(2, 3, seed=8).save(path)
+        before = path.read_bytes()
+        fam = generate_family(2, 4, seed=8)
+
+        def broken(self):
+            raise RuntimeError("serialisation failed")
+
+        monkeypatch.setattr(BasisFamily, "to_json", broken)
+        with pytest.raises(RuntimeError):
+            fam.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["fam.json"]
+
+    def test_load_maps_file_errors_to_validation_errors(self, tmp_path):
+        with pytest.raises(ValidationError):
+            BasisFamily.load(tmp_path / "missing.json")
+        (tmp_path / "bad.json").write_text('{"members": [], "n": "three"}')
+        with pytest.raises(ValidationError):
+            BasisFamily.load(tmp_path / "bad.json")
+
 
 class TestNearestMember:
     def test_finds_exact_member(self, family10):

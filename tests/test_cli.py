@@ -170,10 +170,20 @@ class TestKscheck:
     (("kscheck", "--fixture", "{dir}/missing.json"), None),
     (("povm", "snap", "--targets", "{dir}/bad.json", "--eps", 0.01, "--out", "{dir}/x.json"),
      '{"resolution": []}'),
-], ids=["malformed-json", "missing-file", "targets-without-members"])
+    (("simulate", "pvm", "--family", "{dir}/missing.json", "--state", "{dir}/state.json",
+      "--target", "{dir}/target.json", "--eps", 0.5, "--trials", 10), None),
+    (("simulate", "povm", "--registry", "{dir}/bad.json", "--state", "{dir}/state.json",
+      "--targets", "{dir}/targets.json", "--eps", 0.5, "--trials", 10), "{"),
+], ids=["malformed-json", "missing-file", "targets-without-members", "missing-family",
+        "malformed-registry"])
 def test_unreadable_input_exits_four(tmp_path, capsys, argv, payload):
     if payload is not None:
         (tmp_path / "bad.json").write_text(payload)
+    (tmp_path / "state.json").write_text(json.dumps(operator_to_json(np.eye(2) / 2)))
+    (tmp_path / "target.json").write_text(json.dumps(operator_to_json(np.diag([1.0, 2.0]))))
+    (tmp_path / "targets.json").write_text(
+        json.dumps({"members": [operator_to_json(np.eye(2) / 2)] * 2})
+    )
     code = run_cli(*(str(a).format(dir=tmp_path) for a in argv))
     assert code == 4
     assert "error:" in capsys.readouterr().err

@@ -160,6 +160,17 @@ class TestFindTruthFunctions:
         finally:
             gc.enable()
 
+    def test_discovery_leaves_no_garbage_cycle(self):
+        problem = load_fixture(FIXTURE)
+        gc.collect()
+        gc.disable()
+        try:
+            found = discover_resolutions(problem.operators)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert len(found) == 9
+
 
 class TestVerifySolution:
     def test_length_checked(self, family10):

@@ -28,9 +28,11 @@ from nchv.opcore import (
     operator_norm,
     operator_to_json,
     pairwise_commutator_norms,
+    read_json,
     spectral_resolution,
     subset_projections,
     validate_resolution,
+    write_json,
 )
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -220,6 +222,40 @@ class TestOperatorJson:
     def test_malformed_payload(self):
         with pytest.raises(ValidationError):
             operator_from_json({"dim": 2, "re": [[1, 0], [0, 1]]})
+
+
+class TestJsonFiles:
+    def test_write_replaces_the_file_instead_of_rewriting_it(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json({"b": 1}, path)
+        alias = tmp_path / "alias.json"
+        alias.hardlink_to(path)
+        write_json({"b": 2, "a": [0.5]}, path)
+        # a rewrite in place would change the shared inode as well
+        assert alias.read_text() == '{\n "b": 1\n}'
+        assert path.read_text() == '{\n "a": [\n  0.5\n ],\n "b": 2\n}'
+        assert read_json(path) == {"a": [0.5], "b": 2}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["alias.json", "out.json"]
+
+    def test_failed_rename_keeps_the_old_file_and_no_partial_one(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.json"
+        write_json({"b": 1}, path)
+
+        def broken(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(opcore.os, "replace", broken)
+        with pytest.raises(OSError):
+            write_json({"b": 2}, path)
+        assert path.read_text() == '{\n "b": 1\n}'
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_read_maps_file_errors_to_validation_errors(self, tmp_path):
+        with pytest.raises(ValidationError, match="cannot read"):
+            read_json(tmp_path / "missing.json")
+        (tmp_path / "bad.json").write_text("{")
+        with pytest.raises(ValidationError, match="cannot read"):
+            read_json(tmp_path / "bad.json")
 
 
 def random_basis(n, rng):

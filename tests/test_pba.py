@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import random_density
 from nchv.errors import ValidationError
 from nchv.opcore import OrthonormalBasis, operator_norm, subset_projections
+from nchv import pba
 from nchv.pba import (
     PartialBooleanAlgebra,
     ProjectionBlock,
@@ -122,6 +123,23 @@ class TestTruthValuation:
         val = TruthValuation(np.eye(3) / 3, np.random.default_rng(5))
         with pytest.raises(ValidationError):
             val.block_assignment(pba10.block(2))
+
+    def test_density_checked_once_per_valuation(self, pba10, monkeypatch):
+        calls = []
+        real = pba.check_density
+
+        def counted(density):
+            calls.append(1)
+            return real(density)
+
+        monkeypatch.setattr(pba, "check_density", counted)
+        d = random_density(3, np.random.default_rng(7))
+        val = TruthValuation(d, np.random.default_rng(8))
+        atoms = [val.populate(block) for block in pba10.blocks]
+        assert len(calls) == 1
+        # same draws as the checked public sampler
+        rng = np.random.default_rng(8)
+        assert atoms == [int(sample_block_valuations(d, b, rng, 1)[0]) for b in pba10.blocks]
 
     def test_evaluate_element_convenience(self, pba10):
         val = TruthValuation(np.eye(3) / 3, np.random.default_rng(6))

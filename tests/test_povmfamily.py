@@ -1,5 +1,6 @@
 """Exact rational operators, the snap recipe, phase tags, and the registry."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_density, random_resolution
+from nchv import povmfamily
 from nchv.errors import (
     PrecisionError,
     RegistryCollisionError,
@@ -296,6 +298,104 @@ class TestRegistry:
             for b in second.members
         )
         assert fast == pytest.approx(slow, abs=1e-12)
+
+    def _mixed_registry(self):
+        rng = np.random.default_rng(22)
+        reg = ResolutionRegistry(2)
+        for k in (3, 2, 3, 3, 2, 3):
+            reg.register(self._base(rng, k=k), 0.5)
+        return reg
+
+    @staticmethod
+    def _brute_force(reg, targets, eps):
+        return [
+            e for e in reg.entries
+            if e.k == len(targets)
+            and max(operator_norm(t - m) for t, m in zip(targets, e.members)) < eps
+        ]
+
+    @pytest.mark.parametrize("scale", [0.5, 0.95, 1 - 1e-9, 1.0, 1 + 1e-9, 1.05, 1.2, 2.0])
+    def test_lookup_matches_brute_force_scan(self, scale):
+        reg = self._mixed_registry()
+        entry = reg.entries[2]
+        # D = diag(t, t/2) has |D| = t but |D|_F = 1.118 t and |D|_F / sqrt(2) = 0.79 t,
+        # so from 0.95 t to 1.05 t the Frobenius bounds straddle eps and the SVD decides
+        t = 1e-3
+        shift = np.diag([t, t / 2])
+        targets = [entry.members[0] + shift, entry.members[1] - shift, entry.members[2]]
+        eps = scale * operator_norm(targets[0] - entry.members[0])
+        hits = reg.candidates_within(targets, eps)
+        assert hits == self._brute_force(reg, targets, eps)
+        assert (entry in hits) == (scale > 1.0)
+
+    @pytest.mark.parametrize("eps", [1e-6, 0.3, 0.8, 10.0])
+    def test_lookup_keeps_registry_order_across_mixed_k(self, eps):
+        reg = self._mixed_registry()
+        for entry in reg.entries:
+            targets = [m + 0.1 * np.eye(2) for m in entry.members]
+            hits = reg.candidates_within(targets, eps)
+            assert hits == self._brute_force(reg, targets, eps)
+        same_k = [e for e in reg.entries if e.k == 3]
+        assert reg.candidates_within(targets, 10.0) == same_k and len(same_k) == 4
+
+    def test_far_miss_runs_no_svd(self, monkeypatch):
+        reg = self._mixed_registry()
+        calls = []
+        real = povmfamily.spectral_norms
+
+        def counted(stack):
+            calls.append(len(stack))
+            return real(stack)
+
+        monkeypatch.setattr(povmfamily, "spectral_norms", counted)
+        eps = 1e-3
+        # every entry sits farther than eps * sqrt(n) in Frobenius norm
+        far = [m + 0.1 * np.eye(2) for m in reg.entries[0].members]
+        assert reg.candidates_within(far, eps) == []
+        assert calls == []
+        assert reg.candidates_within(list(reg.entries[0].members), eps) == [reg.entries[0]]
+        assert calls == [1]
+
+    def test_collision_guard_catches_a_copied_member_set(self):
+        reg = self._mixed_registry()
+        target = reg.entries[3]
+        copy = dataclasses.replace(phase_tag(target.base, 90), members=target.members)
+        with pytest.raises(RegistryCollisionError, match=f"index {target.index}$"):
+            reg._check_disjoint(copy)
+        reg._check_disjoint(phase_tag(target.base, 30))
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        reg = self._mixed_registry()
+        path = tmp_path / "registry.json"
+        reg.save(path)
+        before = path.read_bytes()
+        reg.register(self._base(np.random.default_rng(23)), 0.5)
+
+        def broken():
+            raise RuntimeError("serialisation failed")
+
+        monkeypatch.setattr(reg, "to_json", broken)
+        with pytest.raises(RuntimeError):
+            reg.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["registry.json"]
+
+    def test_load_maps_file_errors_to_validation_errors(self, tmp_path):
+        with pytest.raises(ValidationError):
+            ResolutionRegistry.load(tmp_path / "missing.json")
+        (tmp_path / "bad.json").write_text("{")
+        with pytest.raises(ValidationError):
+            ResolutionRegistry.load(tmp_path / "bad.json")
+        (tmp_path / "bad.json").write_text('{"dim": "two", "entries": []}')
+        with pytest.raises(ValidationError):
+            ResolutionRegistry.load(tmp_path / "bad.json")
+
+    def test_load_rejects_an_entry_of_another_dimension(self, tmp_path):
+        reg = self._mixed_registry()
+        obj = reg.to_json()
+        obj["dim"] = 3
+        with pytest.raises(ValidationError):
+            ResolutionRegistry.from_json(obj)
 
     def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(20)
