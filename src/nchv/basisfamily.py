@@ -26,6 +26,7 @@ from .opcore import (
     min_commutator_norm,
     read_json,
     require_same_dim,
+    spectral_norms,
     write_json,
 )
 
@@ -271,13 +272,11 @@ def nearest_member(family: BasisFamily, target: OrthonormalBasis, order_insensit
     require_same_dim(family.members[0].basis.mat, target.mat)
     if order_insensitive and n > 6:
         raise ValidationError("order-insensitive matching is capped at dimension 6")
-    orderings = list(permutations(range(n))) if order_insensitive else [tuple(range(n))]
-    targets = [target.permuted(p) for p in orderings]
-    best_index = None
-    best_dist = np.inf
-    for member in family.members:
-        d = min(basis_distance(member.basis, t) for t in targets)
-        if d < best_dist:
-            best_index = member.index
-            best_dist = d
-    return best_index, float(best_dist)
+    bases_dagger = np.array([m.basis.mat for m in family.members]).conj().swapaxes(1, 2)
+    dists = np.full(len(family.members), np.inf)
+    for order in permutations(range(n)) if order_insensitive else [range(n)]:
+        # one stacked product per ordering: the same U as basis_distance, bit for bit
+        u = target.mat[:, list(order)] @ bases_dagger
+        dists = np.minimum(dists, spectral_norms(np.eye(n) - u))
+    best = int(np.argmin(dists))
+    return family.members[best].index, float(dists[best])

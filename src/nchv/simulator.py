@@ -33,7 +33,6 @@ from .opcore import (
     SPECTRAL_TOL,
     HermitianObservable,
     as_operator,
-    atom_projections,
     check_density,
     commutator,
     operator_norm,
@@ -163,12 +162,18 @@ def joint_probability(density, first, second) -> float:
     return float(np.trace(d @ p @ q).real)
 
 
-def _pvm_matches(observable: HermitianObservable, family: BasisFamily):
-    """Match every family member against the target eigenprojections.
+def pvm_candidates(observable: HermitianObservable, family: BasisFamily | None,
+                   precision: float):
+    """All family members realizable within ``precision``, plus the nearest miss.
 
-    Returns (realizations, distances): one maximal-overlap assignment and
-    projection distance per member, in family order.
+    One pass over the stacked member bases: overlaps <v_j, P_i v_j> from one
+    stacked product P_i V, labels from each member's maximal-overlap
+    assignment, and each matched distance from the rank-1 identity
+    |P - vv*| = |v - Pv| (the target is nondegenerate), which unlike
+    sqrt(1 - overlap) stays accurate near 0.
     """
+    if family is None:
+        raise ValidationError("projective request needs a family in the context")
     if not observable.is_nondegenerate():
         raise DegenerateTargetError(
             "observable has a repeated eigenvalue; realize a nondegenerate target"
@@ -176,31 +181,26 @@ def _pvm_matches(observable: HermitianObservable, family: BasisFamily):
     n = observable.dim
     if family.dim != n:
         raise ValidationError("family and observable dimensions differ")
-    targets = observable.projections
-    realizations = []
-    distances = []
-    for member in family.members:
-        atoms = atom_projections(member.basis)
-        overlap = np.einsum("iab,jba->ij", np.array(targets), atoms).real
-        rows, cols = linear_sum_assignment(-overlap)
-        dist = max(operator_norm(targets[i] - atoms[cols[i]]) for i in range(n))
-        realizations.append((member, tuple(int(c) for c in cols), float(dist)))
-        distances.append(float(dist))
-    return realizations, distances
-
-
-def pvm_candidates(observable: HermitianObservable, family: BasisFamily, precision: float):
-    """All family members realizable within ``precision``, plus the nearest miss."""
-    matches, distances = _pvm_matches(observable, family)
+    if not family.members:
+        return [], float("inf")
+    bases = np.array([m.basis.mat for m in family.members])
+    # pv[m, i, :, j] = P_i v_j for the j-th vector of member m
+    pv = np.matmul(np.array(observable.projections), bases[:, None])
+    overlap = np.einsum("maj,miaj->mij", bases.conj(), pv).real
+    perms = np.array([linear_sum_assignment(-o)[1] for o in overlap])
+    rows = np.arange(len(bases))[:, None]
+    # resid[m, i] = v - P_i v for the vector v that member m assigns to label i
+    resid = bases[rows, :, perms] - pv[rows, np.arange(n), :, perms]
+    dists = np.linalg.norm(resid, axis=-1).max(axis=1)
     cands = [
-        PvmRealization(member.index, build_block(member), perm, dist)
-        for member, perm, dist in matches
-        if dist < precision
+        PvmRealization(family.members[k].index, build_block(family.members[k]),
+                       tuple(int(c) for c in perms[k]), float(dists[k]))
+        for k in np.flatnonzero(dists < precision)
     ]
-    return cands, (min(distances) if distances else float("inf"))
+    return cands, float(dists.min())
 
 
-def realize_pvm(request: MeasurementRequest, family: BasisFamily,
+def realize_pvm(request: MeasurementRequest, family: BasisFamily | None,
                 rng_apparatus: np.random.Generator) -> PvmRealization:
     """Draw one realizable family member uniformly at random."""
     if request.kind != "pvm":
@@ -214,7 +214,7 @@ def realize_pvm(request: MeasurementRequest, family: BasisFamily,
     return cands[int(rng_apparatus.integers(len(cands)))]
 
 
-def realize_povm(request: MeasurementRequest, registry: ResolutionRegistry,
+def realize_povm(request: MeasurementRequest, registry: ResolutionRegistry | None,
                  rng_apparatus: np.random.Generator) -> TaggedResolution:
     """Serve a positive-operator request from the registry, snapping on a miss.
 
@@ -229,6 +229,8 @@ def realize_povm(request: MeasurementRequest, registry: ResolutionRegistry,
 
 def _povm_draw(request, registry, rng_apparatus):
     """``realize_povm``'s pick and the candidates it was drawn from, in one registry scan."""
+    if registry is None:
+        raise ValidationError("positive-operator request needs a registry in the context")
     cands = registry.candidates_within(request.povm_targets, request.precision)
     if cands:
         return cands[int(rng_apparatus.integers(len(cands)))], cands
@@ -338,8 +340,6 @@ def run_trials(request: MeasurementRequest, n_trials: int, context: SimulationCo
     density = context.density
 
     if request.kind == "pvm":
-        if context.family is None:
-            raise ValidationError("projective run needs a family in the context")
         cands, nearest = pvm_candidates(request.observable, context.family, request.precision)
         if not cands:
             raise NoCandidateError(
@@ -354,8 +354,6 @@ def run_trials(request: MeasurementRequest, n_trials: int, context: SimulationCo
         realized_ids = [c.member_index for c in cands]
         realized_distances = [c.distance for c in cands]
     else:
-        if context.registry is None:
-            raise ValidationError("positive-operator run needs a registry in the context")
         _, cands = _povm_draw(request, context.registry, rng_app)
         labels = tuple(range(cands[0].k))
         dists = [_povm_weights(density, c.members) for c in cands]

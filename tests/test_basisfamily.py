@@ -1,5 +1,6 @@
 """Family generation, incompatibility checks, and the repair loop."""
 
+import itertools
 import json
 
 import numpy as np
@@ -201,3 +202,23 @@ class TestNearestMember:
         fam = generate_family(7, 1, seed=1)
         with pytest.raises(ValidationError):
             nearest_member(fam, OrthonormalBasis(np.eye(7)), order_insensitive=True)
+
+    @pytest.mark.parametrize("order_insensitive", [False, True])
+    def test_batch_matches_member_loop_bit_for_bit(self, family10, order_insensitive):
+        # reference: one basis_distance per member and target ordering,
+        # the first strict minimum winning
+        rng = np.random.default_rng(31)
+        orders = list(itertools.permutations(range(3))) if order_insensitive else [(0, 1, 2)]
+        for _ in range(10):
+            target = haar_basis(3, rng)
+            dists = [min(basis_distance(m.basis, target.permuted(o)) for o in orders)
+                     for m in family10.members]
+            best = int(np.argmin(dists))
+            assert nearest_member(family10, target, order_insensitive) == (
+                family10.members[best].index, dists[best])
+
+    def test_first_of_tied_members_wins(self, family10):
+        twins = [FamilyMember(i, family10.members[3].basis, Provenance(None, 0, 0.0))
+                 for i in (5, 2)]
+        fam = BasisFamily(3, 1.7, 1e-8, 0, (family10.members[0], *twins))
+        assert nearest_member(fam, family10.members[3].basis)[0] == 5

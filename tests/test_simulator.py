@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import random_density, random_resolution
+from helpers import random_density, random_resolution, reference_pvm_matches
+from nchv.basisfamily import BasisFamily, generate_family, haar_basis
 from nchv.errors import DegenerateTargetError, NoCandidateError, ValidationError
 from nchv.opcore import HermitianObservable
 from nchv.povmfamily import ResolutionRegistry
@@ -103,6 +104,75 @@ class TestPvmRealization:
         req = MeasurementRequest.pvm(obs, 0.5)
         with pytest.raises(DegenerateTargetError):
             realize_pvm(req, family10, np.random.default_rng(0))
+
+
+def observable_on_basis(basis, rng):
+    """Nondegenerate observable diagonal in ``basis``, labels in seeded order."""
+    labels = rng.permutation(basis.dim) + 1.0
+    return HermitianObservable.from_operator((basis.mat * labels) @ basis.mat.conj().T)
+
+
+class TestBatchedMatch:
+    """pvm_candidates against the per-member loop in ``helpers``."""
+
+    @staticmethod
+    def check_against_reference(obs, family, precision):
+        ref = reference_pvm_matches(obs, family)
+        cands, nearest = pvm_candidates(obs, family, precision)
+        want = [r for r in ref if r[2] < precision]
+        assert [(c.member_index, c.target_to_atom) for c in cands] == [r[:2] for r in want]
+        for c, r in zip(cands, want):
+            assert c.distance == pytest.approx(r[2], rel=1e-12, abs=1e-14)
+        assert nearest == pytest.approx(min(r[2] for r in ref), rel=1e-12, abs=1e-14)
+        return cands, nearest
+
+    @pytest.mark.parametrize("n,count", [(2, 12), (3, 12), (4, 6), (5, 4)])
+    def test_haar_and_exact_member_targets(self, n, count):
+        family = generate_family(n, count, seed=50 + n)
+        rng = np.random.default_rng(n)
+        for _ in range(6):
+            self.check_against_reference(observable_on_basis(haar_basis(n, rng), rng),
+                                         family, 2.0)
+        for member in family.members[:3]:
+            cands, nearest = self.check_against_reference(
+                observable_on_basis(member.basis, rng), family, 1e-9)
+            assert [c.member_index for c in cands] == [member.index]
+            assert nearest < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_precision_next_to_a_member_distance(self, n):
+        family = generate_family(n, 8, seed=60 + n)
+        rng = np.random.default_rng(60 + n)
+        obs = observable_on_basis(haar_basis(n, rng), rng)
+        dist = sorted(r[2] for r in reference_pvm_matches(obs, family))[4]
+        below, _ = self.check_against_reference(obs, family, dist * (1 - 1e-9))
+        above, _ = self.check_against_reference(obs, family, dist * (1 + 1e-9))
+        assert len(above) == len(below) + 1
+
+    def test_empty_family(self):
+        empty = BasisFamily(3, 1.7, 1e-8, 0, ())
+        obs = HermitianObservable.from_operator(np.diag([1.0, 2.0, 3.0]))
+        assert pvm_candidates(obs, empty, 0.5) == ([], float("inf"))
+        with pytest.raises(NoCandidateError):
+            realize_pvm(MeasurementRequest.pvm(obs, 0.5), empty, np.random.default_rng(0))
+
+    def test_svd_calls_do_not_grow_with_family_size(self, monkeypatch):
+        # the only SVD left is build_block's identity check, once per candidate
+        calls = []
+        real = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        families = [generate_family(3, count, seed=70) for count in (4, 16)]
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg._linalg, "svd", counted)
+        for family in families:
+            obs = observable_on_basis(family.members[1].basis, np.random.default_rng(0))
+            calls.clear()
+            cands, _ = pvm_candidates(obs, family, 1e-9)
+            assert len(cands) == 1 and len(calls) == 1
 
 
 class TestRunTrialsPvm:
@@ -226,6 +296,25 @@ class TestSingleTrial:
         ctx = SimulationContext(np.eye(2) / 2, registry=ResolutionRegistry(2))
         out = simulate_trial(req, ctx, np.random.default_rng(3), np.random.default_rng(4))
         assert out.label in (0, 1, 2)
+
+
+PVM_NO_SOURCE = MeasurementRequest.pvm(np.diag([1.0, 2.0, 3.0]), 0.5)
+POVM_NO_SOURCE = MeasurementRequest.povm(random_resolution(3, 2, np.random.default_rng(29)), 0.1)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda ctx: simulate_trial(PVM_NO_SOURCE, ctx, np.random.default_rng(0),
+                               np.random.default_rng(1)),
+    lambda ctx: simulate_trial(POVM_NO_SOURCE, ctx, np.random.default_rng(0),
+                               np.random.default_rng(1)),
+    lambda ctx: run_noncontextuality_audit(PVM_NO_SOURCE, ctx, 10),
+    lambda ctx: run_trials(PVM_NO_SOURCE, 10, ctx),
+    lambda ctx: run_trials(POVM_NO_SOURCE, 10, ctx),
+], ids=["simulate_trial-pvm", "simulate_trial-povm", "audit", "run_trials-pvm",
+        "run_trials-povm"])
+def test_context_without_family_or_registry_is_a_validation_error(entry):
+    with pytest.raises(ValidationError, match="in the context"):
+        entry(SimulationContext(np.eye(3) / 3))
 
 
 class TestAudit:
