@@ -7,8 +7,12 @@ are conjugated by a phase tag diag(e^{i theta_m}, 1, ..., 1) with
 sin(theta_m) = (pi/4)**m, one fresh index m per registration, which keeps
 any two registered resolutions from sharing a member.
 
-Everything on the rational side uses fractions.Fraction and is exact;
-numpy enters only when a rational operator is projected down to floats.
+The rational side is exact: a RationalOperator is a pair of integer
+matrices (real and imaginary numerators, Python integers that never wrap)
+over one shared denominator kept in lowest terms. Snapping rounds onto a
+power-of-two grid, so sums and products keep small denominators. numpy
+enters the float side only when a rational operator is projected down to
+floats.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -61,82 +64,60 @@ __all__ = [
     "sample_povm_outcomes",
 ]
 
-# ---------------------------------------------------------------------------
-# complex rationals as (re, im) Fraction pairs
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_to_int = np.frompyfunc(int, 1, 1)
 
 
-def _qc(re=0, im=0):
-    return (Fraction(re), Fraction(im))
+def _bareiss_det(re, im):
+    """Determinant of the Gaussian-integer matrix re + i im, as an (re, im) pair.
 
-
-def _qc_add(x, y):
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _qc_sub(x, y):
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _qc_mul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _qc_div(x, y):
-    d = y[0] * y[0] + y[1] * y[1]
-    if d == 0:
-        raise ZeroDivisionError("division by zero complex rational")
-    return ((x[0] * y[0] + x[1] * y[1]) / d, (x[1] * y[0] - x[0] * y[1]) / d)
-
-
-def _qc_conj(x):
-    return (x[0], -x[1])
-
-
-def _qc_neg(x):
-    return (-x[0], -x[1])
-
-
-def _qc_is_zero(x):
-    return x[0] == 0 and x[1] == 0
-
-
-def _det_exact(rows):
-    """Exact determinant of a small complex rational matrix (list of row lists)."""
-    m = len(rows)
-    rows = [list(r) for r in rows]
-    det = _qc(1)
-    for col in range(m):
-        piv = next((r for r in range(col, m) if not _qc_is_zero(rows[r][col])), None)
-        if piv is None:
-            return _qc(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = _qc_neg(det)
-        pivot = rows[col][col]
-        det = _qc_mul(det, pivot)
-        for r in range(col + 1, m):
-            f = _qc_div(rows[r][col], pivot)
-            if _qc_is_zero(f):
-                continue
-            rows[r] = [_qc_sub(rows[r][c], _qc_mul(f, rows[col][c])) for c in range(m)]
-    return det
+    Bareiss elimination: every intermediate entry is a minor of the input,
+    so each division by the previous pivot is exact.
+    """
+    sign, pr, pi = 1, 1, 0
+    while len(re):
+        nonzero = np.flatnonzero((re[:, 0] != 0) | (im[:, 0] != 0))
+        if not nonzero.size:
+            return 0, 0
+        p = int(nonzero[0])
+        if p:
+            order = np.arange(len(re))
+            order[[0, p]] = p, 0
+            re, im, sign = re[order], im[order], -sign
+        ar, ai = re[0, 0], im[0, 0]
+        cr, ci, rr, ri = re[1:, 0], im[1:, 0], re[0, 1:], im[0, 1:]
+        nr = ar * re[1:, 1:] - ai * im[1:, 1:] - np.outer(cr, rr) + np.outer(ci, ri)
+        ni = ar * im[1:, 1:] + ai * re[1:, 1:] - np.outer(cr, ri) - np.outer(ci, rr)
+        q = pr * pr + pi * pi
+        re, im = (nr * pr + ni * pi) // q, (ni * pr - nr * pi) // q
+        pr, pi = ar, ai
+    return sign * pr, sign * pi
 
 
 class RationalOperator:
-    """Immutable square matrix over the complex rationals, exact arithmetic."""
+    """Immutable square matrix (re + i im) / den over the complex rationals.
 
-    __slots__ = ("n", "rows")
+    ``re`` and ``im`` are read-only object arrays of Python integers and
+    ``den`` is a positive integer sharing no factor with all of them, so
+    every operator has one canonical form however it was computed.
+    """
 
-    def __init__(self, rows):
-        rows = tuple(tuple((Fraction(e[0]), Fraction(e[1])) for e in row) for row in rows)
-        n = len(rows)
-        if n == 0 or any(len(row) != n for row in rows):
+    __slots__ = ("n", "re", "im", "den")
+
+    def __init__(self, re, im, den=1):
+        re = np.array(re, dtype=object)
+        im = np.array(im, dtype=object)
+        n = len(re)
+        if n == 0 or re.shape != (n, n) or im.shape != (n, n):
             raise ValidationError("rational operator must be square and nonempty")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        if den <= 0:
+            raise ValidationError("rational operator denominator must be positive")
+        g = math.gcd(den, *re.flat, *im.flat)
+        if g != 1:
+            re, im, den = re // g, im // g, den // g
+        re.setflags(write=False)
+        im.setflags(write=False)
+        for name, value in (("n", n), ("re", re), ("im", im), ("den", den)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalOperator is immutable")
@@ -145,28 +126,32 @@ class RationalOperator:
 
     @classmethod
     def zeros(cls, n):
-        return cls(tuple(tuple(_qc(0) for _ in range(n)) for _ in range(n)))
+        return cls(np.zeros((n, n), dtype=object), np.zeros((n, n), dtype=object))
 
     @classmethod
     def identity(cls, n):
-        return cls(tuple(tuple(_qc(1 if a == b else 0) for b in range(n)) for a in range(n)))
+        return cls(np.eye(n, dtype=object), np.zeros((n, n), dtype=object))
 
     @classmethod
     def from_float(cls, mat, max_denominator=DEFAULT_DENOMINATOR_CAP):
-        """Entrywise best rational approximation with bounded denominators."""
+        """Round every entry to the nearest multiple of 2**-b, where 2**b is
+        the largest power of two not above ``max_denominator``.
+
+        Floats already on that grid convert exactly; every other entry moves
+        by at most 2**-(b+1) in its real and in its imaginary part.
+        """
         m = as_operator(mat)
-        return cls(
-            tuple(
-                tuple(
-                    (
-                        Fraction(float(m[a, b].real)).limit_denominator(max_denominator),
-                        Fraction(float(m[a, b].imag)).limit_denominator(max_denominator),
-                    )
-                    for b in range(m.shape[0])
-                )
-                for a in range(m.shape[0])
-            )
-        )
+        if not np.isfinite(m).all():
+            raise ValidationError("cannot rationalize a non-finite entry")
+        if max_denominator < 1:
+            raise ValidationError("denominator cap must be at least 1")
+        return cls._on_grid(m, max_denominator.bit_length() - 1)
+
+    @classmethod
+    def _on_grid(cls, mat, bits):
+        scale = 2.0**bits
+        return cls(_to_int(np.rint(mat.real * scale)), _to_int(np.rint(mat.imag * scale)),
+                   2**bits)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -174,103 +159,106 @@ class RationalOperator:
         if not isinstance(other, RationalOperator) or other.n != self.n:
             raise ValidationError("rational operator dimension mismatch")
 
-    def __add__(self, other):
+    def _add(self, other, sign):
         self._require_same(other)
-        return RationalOperator(
-            tuple(
-                tuple(_qc_add(self.rows[a][b], other.rows[a][b]) for b in range(self.n))
-                for a in range(self.n)
-            )
-        )
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return RationalOperator(a * self.re + b * other.re, a * self.im + b * other.im, den)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     def __sub__(self, other):
-        self._require_same(other)
-        return RationalOperator(
-            tuple(
-                tuple(_qc_sub(self.rows[a][b], other.rows[a][b]) for b in range(self.n))
-                for a in range(self.n)
-            )
-        )
+        return self._add(other, -1)
 
     def __matmul__(self, other):
         self._require_same(other)
-        n = self.n
-        out = []
-        for a in range(n):
-            row = []
-            for b in range(n):
-                acc = _qc(0)
-                for c in range(n):
-                    acc = _qc_add(acc, _qc_mul(self.rows[a][c], other.rows[c][b]))
-                row.append(acc)
-            out.append(tuple(row))
-        return RationalOperator(tuple(out))
+        return RationalOperator(self.re @ other.re - self.im @ other.im,
+                                self.re @ other.im + self.im @ other.re, self.den * other.den)
 
     def scale(self, factor):
-        f = (Fraction(factor), _ZERO)
-        return RationalOperator(
-            tuple(tuple(_qc_mul(f, e) for e in row) for row in self.rows)
-        )
+        f = Fraction(factor)
+        return RationalOperator(f.numerator * self.re, f.numerator * self.im,
+                                f.denominator * self.den)
 
     def dagger(self):
-        return RationalOperator(
-            tuple(tuple(_qc_conj(self.rows[b][a]) for b in range(self.n)) for a in range(self.n))
-        )
+        return RationalOperator(self.re.T, -self.im.T, self.den)
 
     def __eq__(self, other):
-        return isinstance(other, RationalOperator) and self.rows == other.rows
+        return (isinstance(other, RationalOperator) and self.den == other.den
+                and np.array_equal(self.re, other.re) and np.array_equal(self.im, other.im))
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.n, self.den, tuple(self.re.flat), tuple(self.im.flat)))
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def rows(self):
+        """Rows of (re, im) Fraction pairs."""
+        return tuple(
+            tuple((Fraction(a, self.den), Fraction(b, self.den)) for a, b in zip(ra, rb))
+            for ra, rb in zip(self.re, self.im)
+        )
+
     def entry(self, a, b):
-        return self.rows[a][b]
+        return Fraction(self.re[a, b], self.den), Fraction(self.im[a, b], self.den)
 
     def is_hermitian(self) -> bool:
-        for a in range(self.n):
-            for b in range(a, self.n):
-                if self.rows[a][b] != _qc_conj(self.rows[b][a]):
-                    return False
-        return True
+        return np.array_equal(self.re, self.re.T) and np.array_equal(self.im, -self.im.T)
 
     def all_entries_nonzero(self) -> bool:
-        return all(not _qc_is_zero(e) for row in self.rows for e in row)
+        return bool(((self.re != 0) | (self.im != 0)).all())
 
     def principal_minor(self, indices) -> Fraction:
         """det of the principal submatrix on ``indices``; exact, real for Hermitian input."""
-        idx = tuple(indices)
-        sub = [[self.rows[a][b] for b in idx] for a in idx]
-        det = _det_exact(sub)
-        if det[1] != 0:
+        idx = list(indices)
+        sub = np.ix_(idx, idx)
+        det_re, det_im = _bareiss_det(self.re[sub], self.im[sub])
+        if det_im != 0:
             raise ValidationError("principal minor has nonzero imaginary part; operator not Hermitian")
-        return det[0]
+        return Fraction(det_re, self.den ** len(idx))
 
-    def leading_principal_minors(self):
-        return tuple(self.principal_minor(range(k)) for k in range(1, self.n + 1))
+    def _certificate(self):
+        """(positive semidefinite, rank of the embedding) for a Hermitian operator.
+
+        Pivoted fraction-free symmetric elimination (Bareiss) on the integer
+        embedding [[A, -B], [B, A]] of den * (A + iB), which carries every
+        eigenvalue of the operator twice. The pivot is the largest remaining
+        diagonal entry; every entry stays an integer minor. A negative
+        diagonal refutes, and a zero largest diagonal requires the whole
+        remaining block to vanish.
+        """
+        m = np.block([[self.re, -self.im], [self.im, self.re]])
+        prev, rank = 1, 0
+        while len(m):
+            diag = m.diagonal()
+            p = int(np.argmax(diag))
+            if diag.min() < 0:
+                return False, rank
+            if diag[p] == 0:
+                return not (m != 0).any(), rank
+            keep = np.arange(len(m)) != p
+            col = m[keep, p]
+            m = (diag[p] * m[np.ix_(keep, keep)] - np.outer(col, col)) // prev
+            prev, rank = diag[p], rank + 1
+        return True, rank
 
     def is_positive_definite(self) -> bool:
         if not self.is_hermitian():
             return False
-        return all(m > 0 for m in self.leading_principal_minors())
+        psd, rank = self._certificate()
+        return psd and rank == 2 * self.n
 
     def is_positive_semidefinite(self) -> bool:
-        """Exact PSD certificate: every principal minor is nonnegative."""
-        if not self.is_hermitian():
-            return False
-        if self.is_positive_definite():
-            return True
-        for size in range(1, self.n + 1):
-            for idx in combinations(range(self.n), size):
-                if self.principal_minor(idx) < 0:
-                    return False
-        return True
+        """Exact PSD certificate by pivoted fraction-free elimination."""
+        return self.is_hermitian() and self._certificate()[0]
 
     def to_complex(self) -> np.ndarray:
-        return np.array(
-            [[float(e[0]) + 1j * float(e[1]) for e in row] for row in self.rows], dtype=complex
-        )
+        # int / int is correctly rounded however large the integers grow
+        out = (self.re / self.den).astype(complex)
+        out.imag = (self.im / self.den).astype(float)
+        return out
 
     # -- serialization -----------------------------------------------------
 
@@ -287,7 +275,6 @@ class RationalOperator:
     def from_json(cls, obj) -> "RationalOperator":
         try:
             n = int(obj["dim"])
-            entries = obj["entries"]
             rows = tuple(
                 tuple(
                     (
@@ -296,13 +283,15 @@ class RationalOperator:
                     )
                     for e in row
                 )
-                for row in entries
+                for row in obj["entries"]
             )
-        except (KeyError, TypeError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"malformed rational operator: {exc}") from exc
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValidationError("rational operator entries do not match dim")
-        return cls(rows)
+        den = math.lcm(*(q.denominator for row in rows for e in row for q in e))
+        return cls([[int(e[0] * den) for e in row] for row in rows],
+                   [[int(e[1] * den) for e in row] for row in rows], den)
 
 
 def is_admissible(op: RationalOperator) -> bool:
@@ -369,11 +358,11 @@ class RationalResolution:
 
 
 def _positive_bump(n: int) -> RationalOperator:
-    # I + J/(2n): positive definite, every entry nonzero, spectral norm 3/2.
-    off = Fraction(1, 2 * n)
-    return RationalOperator(
-        tuple(tuple(_qc(off + 1 if a == b else off) for b in range(n)) for a in range(n))
-    )
+    # I + J/2**c with 2**c >= 2n: positive definite, every entry nonzero,
+    # spectral norm 1 + n/2**c <= 3/2, and a power-of-two denominator
+    c = (2 * n - 1).bit_length()
+    return RationalOperator(np.eye(n, dtype=object) * 2**c + 1, np.zeros((n, n), dtype=object),
+                            2**c)
 
 
 def rationalize_po(target, delta: float, max_denominator: int = DEFAULT_DENOMINATOR_CAP) -> RationalOperator:
@@ -381,11 +370,14 @@ def rationalize_po(target, delta: float, max_denominator: int = DEFAULT_DENOMINA
 
     When the float entries already form an admissible rational matrix the
     exact conversion is returned unchanged. Otherwise the operator is
-    factored as X*X, X is rounded entrywise to bounded-denominator
-    rationals, and a shrinking positive multiple of a fixed all-nonzero
-    positive bump is added until every entry is nonzero. Each entry is
-    affine in the bump weight with a nonzero coefficient, so at most n**2
-    weights can zero an entry and n**2 + 1 candidates always suffice.
+    factored as X*X, X is rounded entrywise onto the grid of multiples of
+    2**-b, and a shrinking power-of-two multiple of a fixed all-nonzero
+    positive bump is added until every entry is nonzero, so the result has
+    a power-of-two denominator. b is the smallest grid that keeps the
+    rounding's effect on X*X below delta/2, but 2**b never exceeds
+    ``max_denominator``. Each entry is affine in the bump weight with a
+    nonzero coefficient, so at most n**2 weights can zero an entry and
+    n**2 + 1 candidates always suffice.
 
     Raises PrecisionError when the achieved distance is not below delta,
     which happens once delta undercuts the denominator cap's resolution.
@@ -407,12 +399,16 @@ def rationalize_po(target, delta: float, max_denominator: int = DEFAULT_DENOMINA
     w, v = np.linalg.eigh((mat + dagger(mat)) / 2)
     w = np.clip(w, 0.0, None)
     factor = (np.sqrt(w)[:, None]) * dagger(v)
-    rounded = RationalOperator.from_float(factor, max_denominator)
+    # rounding moves X by |E| <= n 2**-b / sqrt(2) and X*X by at most
+    # |E| (2|X| + |E|), which this grid keeps below delta / (2 sqrt(2))
+    norm_x = math.sqrt(w.max())
+    bits = math.ceil(math.log2(4 * n * (norm_x + 1) / delta))
+    rounded = RationalOperator._on_grid(factor, max(0, min(bits, max_denominator.bit_length() - 1)))
     base = rounded.dagger() @ rounded
     bump = _positive_bump(n)
-    bump_norm = operator_norm(bump.to_complex())
-    weight0 = Fraction(delta / (4 * bump_norm)).limit_denominator(max_denominator)
-    if weight0 <= 0:
+    # the largest power of two whose bump, of norm <= 3/2, moves by <= delta/4
+    weight0 = Fraction(2) ** -math.ceil(math.log2(6 / delta))
+    if weight0.denominator > max_denominator:
         raise PrecisionError("delta is below the resolution of the denominator cap")
     out = None
     for j in range(n * n + 1):
@@ -489,7 +485,7 @@ def snap_resolution(targets, eps: float, max_denominator: int = DEFAULT_DENOMINA
     total = primed[0]
     for p in primed[1:]:
         total = total + p
-    scale = _ONE + k * delta
+    scale = 1 + k * delta
     gap = RationalOperator.identity(n).scale(scale) - total
 
     coeffs = _mixing_coefficients(k)
@@ -714,6 +710,8 @@ class ResolutionRegistry:
                 if base.dim != reg.dim:
                     raise ValidationError("registry entry dimension does not match the registry")
                 tagged = phase_tag(base, int(entry["index"]))
+                if tagged.index in reg._used:
+                    raise ValidationError(f"registry index {tagged.index} appears twice")
                 reg.entries.append(tagged)
                 reg._used.add(tagged.index)
         except (KeyError, TypeError, ValueError) as exc:
@@ -729,8 +727,8 @@ class ResolutionRegistry:
 
 
 def _povm_weights(density, members) -> np.ndarray:
-    d = check_density(density)
-    w = np.array([float(np.trace(d @ m).real) for m in members])
+    """Outcome weights Tr(D member_i) for a density that already passed check_density."""
+    w = np.array([float(np.trace(density @ m).real) for m in members])
     if w.min() < -ALGEBRA_TOL:
         raise WeightNormalizationError(f"outcome weight {w.min():.3e} is negative beyond tolerance")
     w = np.clip(w, 0.0, None)
@@ -740,12 +738,16 @@ def _povm_weights(density, members) -> np.ndarray:
     return w / total
 
 
-def sample_povm_outcomes(density, tagged: TaggedResolution, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` outcome indices with probabilities Tr(D member_i)."""
-    w = _povm_weights(density, tagged.members)
-    cum = np.cumsum(w)
+def _draw_outcomes(density, members, rng: np.random.Generator, size: int) -> np.ndarray:
+    # sample_povm_outcomes for a density that already passed check_density
+    cum = np.cumsum(_povm_weights(density, members))
     cum[-1] = 1.0
     return np.searchsorted(cum, rng.random(size), side="right").astype(np.int64)
+
+
+def sample_povm_outcomes(density, tagged: TaggedResolution, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` outcome indices with probabilities Tr(D member_i)."""
+    return _draw_outcomes(check_density(density), tagged.members, rng, size)
 
 
 def sample_povm_outcome(density, tagged: TaggedResolution, rng: np.random.Generator) -> int:

@@ -37,6 +37,7 @@ from .opcore import (
     commutator,
     operator_norm,
     require_same_dim,
+    spectral_norms,
     validate_resolution,
 )
 from .pba import (
@@ -49,6 +50,7 @@ from .pba import (
 from .povmfamily import (
     ResolutionRegistry,
     TaggedResolution,
+    _draw_outcomes,
     _povm_weights,
     snap_resolution,
 )
@@ -240,6 +242,12 @@ def _povm_draw(request, registry, rng_apparatus):
     return chosen, [chosen]
 
 
+def _realized_distances(targets, cands) -> list[float]:
+    """Largest spectral distance from the targets to each candidate's members, indexwise."""
+    diff = np.array(targets, dtype=complex) - np.array([c.members for c in cands])
+    return [float(d) for d in spectral_norms(diff).max(axis=1)]
+
+
 def _grouped_outcomes(cand_ids: np.ndarray, dists, rng: np.random.Generator) -> np.ndarray:
     """Outcome index per trial; trials are grouped by candidate, draws stay seeded."""
     out = np.empty(len(cand_ids), dtype=np.int64)
@@ -358,13 +366,7 @@ def run_trials(request: MeasurementRequest, n_trials: int, context: SimulationCo
         labels = tuple(range(cands[0].k))
         dists = [_povm_weights(density, c.members) for c in cands]
         realized_ids = [c.index for c in cands]
-        realized_distances = [
-            max(
-                operator_norm(as_operator(t) - m)
-                for t, m in zip(request.povm_targets, c.members)
-            )
-            for c in cands
-        ]
+        realized_distances = _realized_distances(request.povm_targets, cands)
 
     if context.fixed_apparatus:
         fixed = int(rng_app.integers(len(cands)))
@@ -402,13 +404,8 @@ def simulate_trial(request: MeasurementRequest, context: SimulationContext,
         label = request.observable.eigenvalues[label_index]
         return MeasurementOutcome(label, realization.member_index, realization.distance, trial_id)
     tagged = realize_povm(request, context.registry, rng_apparatus)
-    from .povmfamily import sample_povm_outcome
-
-    idx = sample_povm_outcome(density, tagged, rng_system)
-    dist = max(
-        operator_norm(as_operator(t) - m)
-        for t, m in zip(request.povm_targets, tagged.members)
-    )
+    idx = int(_draw_outcomes(density, tagged.members, rng_system, 1)[0])
+    dist = _realized_distances(request.povm_targets, [tagged])[0]
     return MeasurementOutcome(idx, tagged.index, dist, trial_id)
 
 

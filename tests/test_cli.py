@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import random_resolution
+from helpers import random_resolution, saved_layout_registry
 from nchv.basisfamily import BasisFamily
 from nchv.cli import main
 from nchv.opcore import operator_to_json
@@ -138,6 +138,13 @@ class TestSnap:
         payload = json.loads(out.read_text())
         assert len(payload["members"]) == 3
 
+    def test_same_input_writes_the_same_bytes(self, workdir):
+        outs = [workdir / "first.json", workdir / "second.json"]
+        for out in outs:
+            assert run_cli("povm", "snap", "--targets", workdir / "targets.json",
+                           "--eps", 1e-3, "--out", out) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_unattainable_eps_exits_three(self, workdir, capsys):
         code = run_cli("povm", "snap", "--targets", workdir / "targets.json",
                        "--eps", 1e-30, "--out", workdir / "x.json")
@@ -174,8 +181,11 @@ class TestKscheck:
       "--target", "{dir}/target.json", "--eps", 0.5, "--trials", 10), None),
     (("simulate", "povm", "--registry", "{dir}/bad.json", "--state", "{dir}/state.json",
       "--targets", "{dir}/targets.json", "--eps", 0.5, "--trials", 10), "{"),
+    (("simulate", "povm", "--registry", "{dir}/bad.json", "--state", "{dir}/state.json",
+      "--targets", "{dir}/targets.json", "--eps", 0.5, "--trials", 10),
+     json.dumps({"dim": 2, "entries": saved_layout_registry()["entries"] * 2})),
 ], ids=["malformed-json", "missing-file", "targets-without-members", "missing-family",
-        "malformed-registry"])
+        "malformed-registry", "repeated-registry-index"])
 def test_unreadable_input_exits_four(tmp_path, capsys, argv, payload):
     if payload is not None:
         (tmp_path / "bad.json").write_text(payload)

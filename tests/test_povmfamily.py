@@ -1,6 +1,9 @@
 """Exact rational operators, the snap recipe, phase tags, and the registry."""
 
+import copy
 import dataclasses
+import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -9,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_density, random_resolution
+from helpers import (
+    random_density,
+    random_resolution,
+    reference_definiteness,
+    reference_minor,
+    saved_layout_registry,
+)
 from nchv import povmfamily
 from nchv.errors import (
     PrecisionError,
@@ -107,6 +116,107 @@ class TestRationalOperator:
                 re, im = m.entry(a, b)
                 assert re.denominator <= 997 and im.denominator <= 997
         assert operator_norm(m.to_complex() - x) < 4 / 997
+
+
+@st.composite
+def hermitian_integer_matrices(draw):
+    """(re, im, den) of a Hermitian matrix with integer numerators, n <= 5."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["random", "rank-deficient", "gram", "zero-diagonal", "zero"]))
+
+    def ints(rows):
+        return np.array(draw(st.lists(st.integers(-4, 4), min_size=rows * n,
+                                      max_size=rows * n)), dtype=np.int64).reshape(rows, n)
+
+    if kind in ("rank-deficient", "gram"):
+        # X*X with X of fewer rows than columns has rank below n
+        rows = draw(st.integers(0, n - 1)) if kind == "rank-deficient" else n + 1
+        xr, xi = ints(rows), ints(rows)
+        re, im = xr.T @ xr + xi.T @ xi, xr.T @ xi - xi.T @ xr
+    elif kind == "zero":
+        re = im = np.zeros((n, n), dtype=np.int64)
+    else:
+        a, b = ints(n), ints(n)
+        re, im = a + a.T, b - b.T
+        if kind == "zero-diagonal":
+            np.fill_diagonal(re, 0)
+            if n > 1 and not (re.any() or im.any()):
+                re[0, 1] = re[1, 0] = 1
+    return re.tolist(), im.tolist(), draw(st.integers(1, 12))
+
+
+class TestCertificate:
+    @given(mat=hermitian_integer_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sylvester_reference(self, mat):
+        op = RationalOperator(*mat)
+        rows = op.rows
+        assert (op.is_positive_semidefinite(), op.is_positive_definite()) == \
+            reference_definiteness(rows)
+        for size in range(1, op.n + 1):
+            for idx in itertools.combinations(range(op.n), size):
+                assert op.principal_minor(idx) == reference_minor(rows, idx)[0]
+
+
+class TestExactRepresentation:
+    def test_saved_layout_with_coprime_denominators_loads_unchanged(self, tmp_path):
+        obj = saved_layout_registry()
+        member = obj["entries"][0]["base"]["members"][0]
+        op = RationalOperator.from_json(member)
+        assert op.den == 105 and op.entry(0, 1) == (F(1, 7), F(1, 5))
+        assert op.to_json() == member
+        path = tmp_path / "registry.json"
+        path.write_text(json.dumps(obj, sort_keys=True, indent=1))
+        reg = ResolutionRegistry.load(path)
+        assert reg.to_json() == obj
+        reg.save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_equality_and_hash_are_canonical(self):
+        x = RationalOperator([[1, 2], [3, 4]], [[0, 1], [-1, 0]], 3)
+        z = RationalOperator.from_float(np.array([[0.5, 0.25j], [0.75, 1.0 / 3.0]]))
+        unreduced = x.to_json()
+        unreduced["entries"][0][0]["re"] = {"num": 2, "den": 6}
+        same = [
+            RationalOperator([[4, 8], [12, 16]], [[0, 4], [-4, 0]], 12),
+            (x + z) - z,
+            x.scale(F(7, 7)),
+            x @ RationalOperator.identity(2),
+            x.dagger().dagger(),
+            RationalOperator.from_json(unreduced),
+        ]
+        for other in same:
+            assert other == x and hash(other) == hash(x) and other.den == 3
+        assert x != RationalOperator([[1, 2], [3, 4]], [[0, 1], [-1, 0]], 6)
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(30)
+        reg = ResolutionRegistry(3)
+        for k in (2, 3, 4):
+            reg.register(snap_resolution(random_resolution(3, k, rng), 0.01), 0.5)
+        reg.save(tmp_path / "first.json")
+        ResolutionRegistry.load(tmp_path / "first.json").save(tmp_path / "second.json")
+        assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_snap_denominators_and_size(self, n):
+        res = snap_resolution(random_resolution(n, 4, np.random.default_rng(40 + n)), 1e-3)
+        assert max(m.den.bit_length() for m in res.members) <= 128
+        if n == 4:
+            assert len(json.dumps(res.to_json(), sort_keys=True)) <= 9600
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_rationalized_operators_sit_on_a_power_of_two_grid(self, n):
+        member = random_resolution(n, 3, np.random.default_rng(50 + n))[0]
+        out = rationalize_po(member, delta=1e-4)
+        assert out.den & (out.den - 1) == 0
+        assert operator_norm(out.to_complex() - member) < 1e-4
+
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_from_float_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValidationError):
+            RationalOperator.from_float(np.array([[0.5, bad], [bad, 0.5]]))
 
 
 class TestRationalizePo:
@@ -389,6 +499,12 @@ class TestRegistry:
         (tmp_path / "bad.json").write_text('{"dim": "two", "entries": []}')
         with pytest.raises(ValidationError):
             ResolutionRegistry.load(tmp_path / "bad.json")
+
+    def test_load_rejects_a_repeated_index(self):
+        obj = saved_layout_registry()
+        obj["entries"].append(copy.deepcopy(obj["entries"][0]))
+        with pytest.raises(ValidationError, match="index 9 appears twice"):
+            ResolutionRegistry.from_json(obj)
 
     def test_load_rejects_an_entry_of_another_dimension(self, tmp_path):
         reg = self._mixed_registry()

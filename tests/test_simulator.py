@@ -7,7 +7,9 @@ from helpers import random_density, random_resolution, reference_pvm_matches
 from nchv.basisfamily import BasisFamily, generate_family, haar_basis
 from nchv.errors import DegenerateTargetError, NoCandidateError, ValidationError
 from nchv.opcore import HermitianObservable
-from nchv.povmfamily import ResolutionRegistry
+from nchv import povmfamily, simulator
+from nchv.opcore import operator_norm
+from nchv.povmfamily import ResolutionRegistry, snap_resolution
 from nchv.simulator import (
     MeasurementRequest,
     SimulationContext,
@@ -256,14 +258,48 @@ class TestRunTrialsPovm:
         run_trials(req, 100, ctx)
         assert len(scans) == 2 and len(ctx.registry) == 1
 
+    @staticmethod
+    def _shared_base(copies):
+        """A request within reach of ``copies`` registrations of one snapped base."""
+        rng = np.random.default_rng(31)
+        targets = random_resolution(2, 3, rng)
+        reg = ResolutionRegistry(2)
+        base = snap_resolution(targets, 0.01)
+        for _ in range(copies):
+            reg.register(base, 0.5)
+        req = MeasurementRequest.povm(targets, 0.5, apparatus_seed=5, system_seed=6)
+        return req, SimulationContext(random_density(2, rng), registry=reg)
+
+    def test_density_is_checked_only_by_the_context(self, monkeypatch):
+        req, ctx = self._shared_base(2)
+        calls = []
+        for module in (povmfamily, simulator):
+            real = module.check_density
+            monkeypatch.setattr(module, "check_density",
+                                lambda d, real=real: calls.append(1) or real(d))
+        report = run_trials(req, 200, ctx)
+        assert report.config["realized_ids"] == [9, 10]
+        simulate_trial(req, ctx, np.random.default_rng(1), np.random.default_rng(2))
+        assert calls == []
+
+    def test_realized_distances_match_the_member_loop(self):
+        req, ctx = self._shared_base(4)
+        cands = ctx.registry.entries
+        fast = simulator._realized_distances(req.povm_targets, cands)
+        slow = [max(operator_norm(t - m) for t, m in zip(req.povm_targets, c.members))
+                for c in cands]
+        assert len(fast) == 4 and len(set(slow)) == 4
+        assert all(abs(a - b) <= 1e-15 * b for a, b in zip(fast, slow))
+        assert run_trials(req, 100, ctx).config["realized_distances"] == fast
+        out = simulate_trial(req, ctx, np.random.default_rng(3), np.random.default_rng(4))
+        assert out.realized_distance == fast[[c.index for c in cands].index(out.realized_id)]
+
     def test_realized_members_stay_within_precision(self):
         rng = np.random.default_rng(25)
         targets = random_resolution(2, 2, rng)
         reg = ResolutionRegistry(2)
         req = MeasurementRequest.povm(targets, 0.05, apparatus_seed=11, system_seed=12)
         tagged = realize_povm(req, reg, np.random.default_rng(0))
-        from nchv.opcore import operator_norm
-
         for t, m in zip(targets, tagged.members):
             assert operator_norm(t - m) < 0.05
 
