@@ -7,13 +7,18 @@ Kochen-Specker style obstructions show up as problems with no truth
 function at all; the search here either enumerates the solutions or
 certifies that none exist.
 
-Resolutions can be handed in explicitly or discovered by a depth-first
-scan over the universe with positivity pruning.
+Resolutions can be handed in explicitly or discovered. When every element
+has rank 1, discovery enumerates the cliques of an orthogonality graph
+built from one table of eigenvector overlaps and confirms each clique with
+the norm checks; otherwise a depth-first scan over the universe prunes
+with positivity. Validation and deduplication each make batched passes
+over the stacked operators.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,9 +28,11 @@ from .errors import SearchCapError, ValidationError
 from .opcore import (
     SPECTRAL_TOL,
     as_operator,
-    check_projection,
+    check_projections,
     operator_from_json,
     operator_norm,
+    require_same_dim,
+    spectral_norms,
 )
 
 __all__ = [
@@ -74,18 +81,42 @@ class SearchResult:
         return bool(self.solutions)
 
 
-def _dedup(ops, tol):
-    reps: list[np.ndarray] = []
+def _dedup(stack, tol):
+    """First-wins clustering of a (m, n, n) stack within spectral distance ``tol``.
+
+    Returns the stack positions of the representatives and, for every
+    operator, the index of its representative: the first one within
+    ``tol``. Each operator takes its Frobenius distances to the
+    representatives so far in one pass; since |X|_F <= sqrt(n) |X|, only
+    those within sqrt(n) tol (plus a roundoff margin) can be within ``tol``,
+    and ``operator_norm`` confirms them in order.
+    """
+    reach = math.sqrt(stack.shape[-1]) * tol * (1 + 1e-12)
+    reps = np.empty_like(stack)
+    first: list[int] = []
     index_map: list[int] = []
-    for op in ops:
-        for j, rep in enumerate(reps):
-            if operator_norm(op - rep) <= tol:
-                index_map.append(j)
-                break
-        else:
-            index_map.append(len(reps))
-            reps.append(op)
-    return reps, index_map
+    for i, op in enumerate(stack):
+        near = np.flatnonzero(np.linalg.norm(reps[:len(first)] - op, axis=(1, 2)) <= reach)
+        j = next((int(j) for j in near if operator_norm(op - reps[j]) <= tol), None)
+        if j is None:
+            j = len(first)
+            reps[j] = op
+            first.append(i)
+        index_map.append(j)
+    return first, index_map
+
+
+def _universe_indices(res, size):
+    try:
+        members = list(res)
+    except TypeError:
+        raise ValidationError(f"resolution {res!r} is not a list of indices") from None
+    for i in members:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < size:
+            raise ValidationError(
+                f"resolution index {i!r} is not an integer in [0, {size})"
+            )
+    return [int(i) for i in members]
 
 
 def build_problem(operators, resolutions=None, *, discover=False,
@@ -94,26 +125,34 @@ def build_problem(operators, resolutions=None, *, discover=False,
     """Validate, deduplicate, and assemble a problem.
 
     Operators closer than ``dedup_tol`` collapse to one universe element and
-    resolution indices are remapped accordingly. With ``discover`` set, every
-    subset of the universe resolving the identity is added as a resolution.
+    resolution indices, integers into ``operators``, are remapped
+    accordingly. With ``discover`` set, every subset of the universe
+    resolving the identity is added as a resolution.
     """
     ops = [as_operator(o) for o in operators]
     if not ops:
         raise ValidationError("empty projection universe")
     dim = ops[0].shape[0]
-    ranks = []
-    for op in ops:
-        if op.shape[0] != dim:
-            raise ValidationError("universe operators have mixed dimensions")
-        ranks.append(check_projection(op))
+    # the first operator of another dimension ends the stack; any invalid
+    # projection before it is reported first, as a scan in order would
+    mixed = next((i for i, op in enumerate(ops) if op.shape[0] != dim), len(ops))
+    stack = np.array(ops[:mixed])
+    ranks = check_projections(stack)
+    if mixed < len(ops):
+        raise ValidationError("universe operators have mixed dimensions")
 
-    reps, index_map = _dedup(ops, dedup_tol)
-    rep_ranks = [ranks[index_map.index(j)] for j in range(len(reps))]
+    first, index_map = _dedup(stack, dedup_tol)
+    reps = stack[first]
+    rep_ranks = [ranks[i] for i in first]
 
     ident = np.eye(dim)
     resolved: set[tuple[int, ...]] = set()
-    for res in resolutions or ():
-        mapped = tuple(sorted(index_map[int(i)] for i in res))
+    try:
+        resolutions = list(resolutions or ())
+    except TypeError:
+        raise ValidationError("resolutions must be a list of index lists") from None
+    for res in resolutions:
+        mapped = tuple(sorted(index_map[i] for i in _universe_indices(res, len(ops))))
         if len(set(mapped)) != len(mapped):
             raise ValidationError("resolution lists the same projection twice")
         total = sum(reps[j] for j in mapped)
@@ -125,26 +164,31 @@ def build_problem(operators, resolutions=None, *, discover=False,
         resolved.update(
             discover_resolutions(reps, rep_ranks, node_budget=node_budget)
         )
-    frozen = []
-    for rep in reps:
-        rep = rep.copy()
-        rep.flags.writeable = False
-        frozen.append(rep)
-    return ValuationProblem(tuple(frozen), tuple(sorted(resolved)), dim)
+    reps.flags.writeable = False
+    return ValuationProblem(tuple(reps), tuple(sorted(resolved)), dim)
 
 
 def discover_resolutions(operators, ranks=None, *,
                          node_budget=DEFAULT_DISCOVERY_BUDGET):
     """Find every subset of the universe that sums to the identity.
 
-    Depth-first over increasing indices; a branch dies as soon as the
-    remainder I - S stops being positive semidefinite or the ranks overshoot
-    the dimension. Raises SearchCapError when the node budget runs out.
+    Returns index tuples in lexicographic order. When every element has
+    rank 1 the candidates are the ``dim``-cliques of an orthogonality graph
+    built from one overlap table (see ``_rank_one_resolutions``); otherwise
+    a depth-first scan over increasing indices drops a branch as soon as
+    the remainder I - S stops being positive semidefinite or the ranks
+    overshoot the dimension. Raises SearchCapError when the node budget
+    (partial cliques, or scan nodes) runs out.
     """
     ops = [as_operator(o) for o in operators]
+    if not ops:
+        return []
+    dim = require_same_dim(*ops)
+    ops = np.array(ops)
     if ranks is None:
-        ranks = [check_projection(o) for o in ops]
-    dim = ops[0].shape[0]
+        ranks = check_projections(ops)
+    if all(r == 1 for r in ranks):
+        return _rank_one_resolutions(ops, node_budget)
     ident = np.eye(dim)
     found: list[tuple[int, ...]] = []
     nodes = 0
@@ -173,6 +217,68 @@ def discover_resolutions(operators, ranks=None, *,
             pending += [(j + 1, chosen, total, rank), (j + 1, chosen + (j,), s, r)]
             break
     return found
+
+
+def _rank_one_resolutions(ops, node_budget):
+    """The scan's resolutions of a (m, n, n) stack of rank-1 elements.
+
+    Write H_c for the Hermitian part of element c, u_c for its top
+    eigenvector and eta_c = |H_c - u_c u_c*|, the distance of its spectrum
+    to {1} (top eigenvalue) and {0} (the rest). The scan accepts a set T of
+    n elements only if |I - S| <= tol for S their sum. The Hermitian part
+    of a matrix has at most its norm, so |I - sum H_c| <= tol, and by Weyl
+    |I - U U*| <= tol + sum_T eta_c for U = [u_c]. U U* and the Gram matrix
+    U* U share their eigenvalues, and an off-diagonal entry is at most the
+    norm, so every pair a, b in T has
+        |<u_a, u_b>| <= tol + eta_a + eta_b + (n - 2) max eta.
+    These pairs are the edges of the orthogonality graph, so every accepted
+    set is an n-clique. Each clique found (in lexicographic order, one node
+    per partial clique) then passes through the scan's own checks on the
+    same prefix sums: no prefix remainder with an eigenvalue below -tol, and
+    |I - S| <= tol. The output is therefore the scan's, element for element.
+    """
+    m, dim = len(ops), ops.shape[-1]
+    w, v = np.linalg.eigh((ops + ops.conj().swapaxes(-1, -2)) / 2)
+    vecs = v[..., -1]
+    eta = np.maximum(np.abs(w[:, -1] - 1), np.abs(w[:, :-1]).max(axis=1, initial=0.0))
+    # 1e-12 lies far above the roundoff of the eigenvectors and their overlaps
+    slack = SPECTRAL_TOL + max(dim - 2, 0) * eta.max() + 1e-12
+    cols = np.arange(m)
+    above = []  # bitset of the neighbours j > i of each element i
+    step = max(1, (1 << 20) // m)
+    for lo in range(0, m, step):
+        rows = cols[lo:lo + step]
+        overlap = np.abs(vecs[rows].conj() @ vecs.T)
+        near = (overlap <= slack + eta[rows, None] + eta[None, :]) & (cols > rows[:, None])
+        for bits in np.packbits(near, axis=1, bitorder="little"):
+            above.append(int.from_bytes(bits.tobytes(), "little"))
+
+    cliques: list[tuple[int, ...]] = []
+    nodes = 0
+    # partial cliques still to extend, deepest last: (clique, bitset of extensions)
+    pending = [((), (1 << m) - 1)]
+    while pending:
+        chosen, cand = pending.pop()
+        if not cand:
+            continue
+        j = (cand & -cand).bit_length() - 1
+        pending.append((chosen, cand & (cand - 1)))
+        nodes += 1
+        if nodes > node_budget:
+            raise SearchCapError(f"resolution discovery exceeded {node_budget} nodes")
+        clique = chosen + (j,)
+        if len(clique) == dim:
+            cliques.append(clique)
+            continue
+        ext = cand & above[j]
+        if ext.bit_count() >= dim - len(clique):
+            pending.append((clique, ext))
+    if not cliques:
+        return []
+    gaps = np.eye(dim) - np.cumsum(ops[np.array(cliques)], axis=1)
+    prefix_ok = ~(np.linalg.eigvalsh(gaps)[..., 0] < -SPECTRAL_TOL).any(axis=1)
+    keep = prefix_ok & (spectral_norms(gaps[:, -1]) <= SPECTRAL_TOL)
+    return [c for c, ok in zip(cliques, keep) if ok]
 
 
 def find_truth_functions(problem: ValuationProblem, limit=None,

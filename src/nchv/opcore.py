@@ -130,13 +130,27 @@ def is_hermitian(op, tol: float = STRUCT_TOL) -> bool:
 
 def check_projection(op, idem_tol: float = ALGEBRA_TOL, herm_tol: float = STRUCT_TOL) -> int:
     """Validate Hermiticity and idempotence of a projection, returning its rank."""
-    mat = as_operator(op)
-    if not is_hermitian(mat, herm_tol):
-        raise ValidationError("projection is not Hermitian")
-    if operator_norm(mat @ mat - mat) > idem_tol:
+    return check_projections(as_operator(op)[None], idem_tol, herm_tol)[0]
+
+
+def check_projections(stack, idem_tol: float = ALGEBRA_TOL, herm_tol: float = STRUCT_TOL) -> list[int]:
+    """Validate a (m, n, n) stack of projections in batched passes, returning their ranks.
+
+    The first failing matrix decides the error, its Hermitian check before
+    its idempotence check. Idempotence is measured only on the matrices
+    before the first non-Hermitian one, so the SVD never sees a NaN.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    herm_bad = ~(np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-1, -2)) <= herm_tol)
+    first_herm = int(np.argmax(herm_bad)) if herm_bad.any() else len(stack)
+    head = stack[:first_herm]
+    idem_bad = ~(spectral_norms(head @ head - head) <= idem_tol)
+    if idem_bad.any():
         raise ValidationError("projection is not idempotent")
-    eigs = np.linalg.eigvalsh((mat + dagger(mat)) / 2)
-    return int(np.sum(np.abs(eigs - 1.0) <= EIGEN_MERGE_TOL))
+    if first_herm < len(stack):
+        raise ValidationError("projection is not Hermitian")
+    eigs = np.linalg.eigvalsh((stack + stack.conj().swapaxes(-1, -2)) / 2)
+    return [int(r) for r in np.sum(np.abs(eigs - 1.0) <= EIGEN_MERGE_TOL, axis=-1)]
 
 
 def check_density(op) -> np.ndarray:

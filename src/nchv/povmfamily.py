@@ -454,13 +454,24 @@ def snap_resolution(targets, eps: float, max_denominator: int = DEFAULT_DENOMINA
     eps : float
         Strict bound on max_i |target_i - member_i| in spectral norm.
 
-    The recipe: pick a rational bound r in (0, eps), set delta = r/(5+k),
-    rationalize each target within delta, and blend the deviation of the
-    rational sum H from the identity back into the members with positive
-    rational weights t_i that sum to one exactly. The weights start at 1/k
-    and are perturbed along a fixed direction of distinct integers with
-    zero sum; the perturbation is rescaled through at most k*n**2 + 2
-    candidates until every entry of every member is nonzero.
+    The recipe: pick a rational bound r in (0, eps), set
+    delta = min(r/(2+2k), 1/(4k)), and let u be the smallest power of two
+    >= k*delta, so u < 2k*delta and u <= 1/4. Rationalize each shrunk
+    target (1-u) T_i within delta to A_i and let H = sum A_i; an exact check
+    confirms |H - (1-u) I| <= k*delta, so the gap I - H lies between
+    (u - k*delta) I >= 0 and 3k*delta I. The members are
+    M_i = A_i + t_i (I - H) for positive rational weights t_i that sum to
+    one exactly: they sum to I, and every factor but t_i is dyadic, so the
+    members' denominators have no odd factor beyond the weights'. The weights start at 1/k and
+    are perturbed along a fixed direction of distinct integers with zero
+    sum; the perturbation is rescaled through at most k*n**2 + 2 candidates
+    until every entry of every member is nonzero.
+
+    Per member, M_i - T_i = (A_i - (1-u) T_i) + (t_i (I - H) - u T_i). The
+    first term is below delta. The second is a difference of two positive
+    operators, so its norm is at most the larger of theirs: the weights
+    keep k*t_i <= 1 + 1/8, so t_i |I - H| < 3.375 delta, and u |T_i| <
+    2k*delta. For k >= 2, |M_i - T_i| < (1 + 2k) delta < r < eps.
 
     Returns the RationalResolution, plus a SnapDiagnostics when asked.
     """
@@ -479,14 +490,19 @@ def snap_resolution(targets, eps: float, max_denominator: int = DEFAULT_DENOMINA
         bound /= 2
         if bound < Fraction(1, 10**18):
             raise PrecisionError("eps too small to bracket with a rational bound")
-    delta = bound / (5 + k)
+    delta = min(bound / (2 + 2 * k), Fraction(1, 4 * k))
+    reach = k * delta
+    shrink = 1 - Fraction(1, 2 ** ((reach.denominator // reach.numerator).bit_length() - 1))
 
-    primed = [rationalize_po(m, float(delta), max_denominator) for m in mats]
+    primed = [rationalize_po(float(shrink) * m, float(delta), max_denominator) for m in mats]
     total = primed[0]
     for p in primed[1:]:
         total = total + p
-    scale = 1 + k * delta
-    gap = RationalOperator.identity(n).scale(scale) - total
+    ident = RationalOperator.identity(n)
+    gap_ok = hermitian_norm_at_most(total - ident.scale(shrink), reach)
+    if not gap_ok:
+        raise PrecisionError("rationalized sum strayed farther from (1-u) I than k*delta")
+    gap = ident - total
 
     coeffs = _mixing_coefficients(k)
     step0 = Fraction(1, k**4)
@@ -495,7 +511,7 @@ def snap_resolution(targets, eps: float, max_denominator: int = DEFAULT_DENOMINA
     for attempt in range(k * n * n + 2):
         step = step0 / (attempt + 1)
         ts = [Fraction(1, k) + c * step for c in coeffs]
-        cand = [(primed[i] + gap.scale(ts[i])).scale(1 / scale) for i in range(k)]
+        cand = [primed[i] + gap.scale(ts[i]) for i in range(k)]
         if all(c.all_entries_nonzero() for c in cand):
             members = cand
             weights = ts
@@ -509,9 +525,6 @@ def snap_resolution(targets, eps: float, max_denominator: int = DEFAULT_DENOMINA
     max_shift = float(max(shifts))
     if not max_shift < eps:
         raise PrecisionError(f"snap moved a member by {max_shift:.3e}, not below eps {eps:.3e}")
-    gap_ok = hermitian_norm_at_most(total - RationalOperator.identity(n), k * delta)
-    if not gap_ok:
-        raise PrecisionError("rationalized sum strayed farther from the identity than k*delta")
 
     if return_diagnostics:
         return resolution, SnapDiagnostics(

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -103,3 +103,111 @@ def saved_layout_registry():
     base = {"dim": 2, "k": 2, "members": members}
     theta = math.asin((math.pi / 4.0) ** 9)
     return {"dim": 2, "entries": [{"index": 9, "theta": theta, "base": base}]}
+
+
+def reference_dedup(ops, tol):
+    """All-pairs clustering the batched dedup must agree with: each operator
+    joins the first representative within ``tol`` (one ``operator_norm``
+    per pair), or becomes a new one."""
+    from nchv.opcore import operator_norm
+
+    reps, index_map = [], []
+    for op in ops:
+        for j, rep in enumerate(reps):
+            if operator_norm(op - rep) <= tol:
+                index_map.append(j)
+                break
+        else:
+            index_map.append(len(reps))
+            reps.append(op)
+    return reps, index_map
+
+
+def reference_discover_resolutions(ops, ranks, node_budget=200_000):
+    """Depth-first scan over increasing indices that rank-1 discovery must agree with.
+
+    A branch dies once I - S has an eigenvalue below -SPECTRAL_TOL or the
+    ranks overshoot the dimension; a set of full rank is a resolution when
+    |I - S| <= SPECTRAL_TOL. One ``eigvalsh`` per node.
+    """
+    from nchv.errors import SearchCapError
+    from nchv.opcore import SPECTRAL_TOL, operator_norm
+
+    dim = ops[0].shape[0]
+    ident = np.eye(dim)
+    found, nodes = [], 0
+    pending = [(0, (), np.zeros((dim, dim), dtype=complex), 0)]
+    while pending:
+        start, chosen, total, rank = pending.pop()
+        for j in range(start, len(ops)):
+            nodes += 1
+            if nodes > node_budget:
+                raise SearchCapError("reference discovery ran out of nodes")
+            r = rank + ranks[j]
+            if r > dim:
+                continue
+            s = total + ops[j]
+            gap = ident - s
+            if float(np.linalg.eigvalsh(gap)[0]) < -SPECTRAL_TOL:
+                continue
+            if r == dim:
+                if operator_norm(gap) <= SPECTRAL_TOL:
+                    found.append(chosen + (j,))
+                continue
+            pending += [(j + 1, chosen, total, rank), (j + 1, chosen + (j,), s, r)]
+            break
+    return found
+
+
+def rational_sphere_rays(bound):
+    """Primitive integer rays (a, b, c), first nonzero coordinate positive,
+    |coordinates| <= bound, whose squared norm is a perfect square."""
+    rays = []
+    for a in range(bound + 1):
+        for b in range(-bound, bound + 1):
+            for c in range(-bound, bound + 1):
+                ray = (a, b, c)
+                if ray == (0, 0, 0) or math.gcd(a, b, c) != 1:
+                    continue
+                if next(x for x in ray if x) < 0:
+                    continue
+                sq = a * a + b * b + c * c
+                if math.isqrt(sq) ** 2 == sq:
+                    rays.append(ray)
+    return rays
+
+
+def integer_orthogonal_triads(rays):
+    """Sorted index triples of pairwise orthogonal integer rays, by exact dot products."""
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    adj = [{j for j, v in enumerate(rays) if j > i and dot(u, v) == 0} for i, u in enumerate(rays)]
+    return [(i, j, k) for i in range(len(rays)) for j in sorted(adj[i])
+            for k in sorted(adj[i] & adj[j])]
+
+
+def peres_33_rays():
+    """Peres' 33 rays in dimension 3 (J. Phys. A 24, L175, 1991), up to sign: the
+    permutations and sign changes of (1, 0, 0), (1, 1, 0), (1, sqrt2, 0) and
+    (1, 1, sqrt2)."""
+    rays = set()
+    for comps in ((1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 1, 2)):
+        for perm in permutations(comps):
+            for signs in product((1, -1), repeat=3):
+                # 2 stands for sqrt(2); each ray is stored with its first nonzero sign +
+                ray = tuple(s * x for s, x in zip(signs, perm))
+                if next(x for x in ray if x) > 0:
+                    rays.add(ray)
+    return [tuple(math.copysign(math.sqrt(2), x) if abs(x) == 2 else float(x) for x in ray)
+            for ray in sorted(rays)]
+
+
+def rank_one_projections(vectors):
+    """Normalised outer products v v* of real or complex vectors."""
+    out = []
+    for vec in vectors:
+        v = np.asarray(vec, dtype=complex)
+        v = v / np.linalg.norm(v)
+        out.append(np.outer(v, v.conj()))
+    return out

@@ -184,8 +184,15 @@ class TestKscheck:
     (("simulate", "povm", "--registry", "{dir}/bad.json", "--state", "{dir}/state.json",
       "--targets", "{dir}/targets.json", "--eps", 0.5, "--trials", 10),
      json.dumps({"dim": 2, "entries": saved_layout_registry()["entries"] * 2})),
+    (("kscheck", "--fixture", "{dir}/bad.json"),
+     json.dumps({"dim": 2, "vectors": [[1, 0], [0, 1]], "resolutions": [[0, 5]]})),
+    (("kscheck", "--fixture", "{dir}/bad.json"),
+     json.dumps({"dim": 2, "vectors": [[1, 0], [0, 1]], "resolutions": [[0, "x"]]})),
+    (("kscheck", "--fixture", "{dir}/bad.json"),
+     json.dumps({"dim": 2, "vectors": [[1, 0], [0, 1]], "resolutions": [[0, -1]]})),
 ], ids=["malformed-json", "missing-file", "targets-without-members", "missing-family",
-        "malformed-registry", "repeated-registry-index"])
+        "malformed-registry", "repeated-registry-index", "resolution-index-past-end",
+        "resolution-index-not-integer", "resolution-index-negative"])
 def test_unreadable_input_exits_four(tmp_path, capsys, argv, payload):
     if payload is not None:
         (tmp_path / "bad.json").write_text(payload)

@@ -9,10 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (
+    integer_orthogonal_triads,
+    peres_33_rays,
+    rank_one_projections,
+    rational_sphere_rays,
+    reference_dedup,
+    reference_discover_resolutions,
+)
 from nchv.basisfamily import generate_family
 from nchv.errors import SearchCapError, ValidationError
 from nchv.kscheck import (
     ValuationProblem,
+    _dedup,
     build_problem,
     discover_resolutions,
     find_truth_functions,
@@ -20,7 +29,7 @@ from nchv.kscheck import (
     problem_from_family,
     verify_solution,
 )
-from nchv.opcore import OrthonormalBasis, atom_projections
+from nchv.opcore import SPECTRAL_TOL, OrthonormalBasis, atom_projections, check_projections
 
 FIXTURE = "src/nchv/fixtures/ks18_dim4.json"
 
@@ -64,6 +73,26 @@ class TestBuildProblem:
         with pytest.raises(ValidationError):
             build_problem([np.eye(2), np.eye(3)], [])
 
+    def test_invalid_projection_before_the_other_dimension_reported_first(self):
+        with pytest.raises(ValidationError, match="not idempotent"):
+            build_problem([np.eye(2), np.diag([0.5, 0.5]), np.eye(3)], [])
+
+    @pytest.mark.parametrize("resolutions", [
+        [[0, 2]], [[0, 5]], [[0, -1]], [[0, "x"]], [[0, 1.0]], [[0, True]], [[0, None]], [1], 3,
+    ], ids=["past-end", "far-past-end", "negative", "string", "float", "bool", "null",
+            "bare-index", "bare-number"])
+    def test_rejects_bad_resolution_indices(self, resolutions):
+        with pytest.raises(ValidationError):
+            build_problem(atoms_of(np.eye(2)), resolutions)
+
+    def test_accepts_numpy_integer_indices(self):
+        prob = build_problem(atoms_of(np.eye(2)), [np.array([1, 0])])
+        assert prob.resolutions == ((0, 1),)
+
+    def test_operators_are_read_only(self):
+        prob = build_problem(atoms_of(np.eye(2)), [[0, 1]])
+        assert not any(op.flags.writeable for op in prob.operators)
+
 
 class TestDiscovery:
     def test_finds_both_bases_and_nothing_between(self):
@@ -82,6 +111,158 @@ class TestDiscovery:
         ops = atoms_of(np.eye(3))
         with pytest.raises(SearchCapError):
             discover_resolutions(ops, node_budget=2)
+
+
+def _perturbed(ops, scale, rng):
+    """Each operator plus a random Hermitian of norm ``scale``: still rank 1,
+    idempotent only to about ``scale``."""
+    out = []
+    for op in ops:
+        z = rng.normal(size=op.shape) + 1j * rng.normal(size=op.shape)
+        e = (z + z.conj().T) / 2
+        out.append(op + scale * e / np.linalg.norm(e, 2))
+    return out
+
+
+def _tilted(dim, overlap):
+    """|e_0><e_0| and the projection onto a unit vector with <e_0, w> = overlap."""
+    w = np.zeros(dim)
+    w[0], w[1] = overlap, np.sqrt(1 - overlap**2)
+    return rank_one_projections([np.eye(dim)[0], w])
+
+
+def _compensated(overlap, shear):
+    """Three dimension-3 elements: e_2 e_2* sheared by -shear (e_0 e_1* + e_1 e_0*),
+    e_0 e_0*, and a ray at ``overlap`` to e_0. The shear cancels most of the
+    overlap in the sum, so the set resolves the identity although its last
+    two rays overlap by more than the tolerance."""
+    h = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    h[0, 1] = h[1, 0] = -shear
+    return [h] + _tilted(3, overlap)
+
+
+def _peres_24_rays():
+    rays = [tuple(np.eye(4)[i]) for i in range(4)]
+    for i, j in itertools.combinations(range(4), 2):
+        for sign in (1, -1):
+            v = np.zeros(4)
+            v[i], v[j] = 1, sign
+            rays.append(tuple(v))
+    rays += [(1,) + signs for signs in itertools.product((1, -1), repeat=3)]
+    return rays
+
+
+def _equivalence_cases():
+    rng = np.random.default_rng(20261018)
+    cabello = rank_one_projections(json.loads(open(FIXTURE).read())["vectors"])
+    sphere14 = rational_sphere_rays(14)
+    triads = integer_orthogonal_triads(sphere14)
+    subset = sorted({i for t in rng.choice(triads, size=30, replace=False) for i in t})
+    e = atoms_of(np.eye(3))
+    low, high = SPECTRAL_TOL * (1 - 1e-6), SPECTRAL_TOL * (1 + 1e-6)
+    border = e + _tilted(3, low)[1:] + _tilted(3, high)[1:]
+    return {
+        "cabello-18": cabello,
+        "peres-24": rank_one_projections(_peres_24_rays()),
+        "peres-33": rank_one_projections(peres_33_rays()),
+        "sphere-9": rank_one_projections(rational_sphere_rays(9)),
+        "sphere-14-subset": rank_one_projections([sphere14[i] for i in subset]),
+        "mixed-ranks": [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0]),
+                        np.diag([0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0]),
+                        np.diag([1.0, 1.0, 0.0])],
+        "cabello-idempotent-to-1e-11": _perturbed(cabello, 1e-11, rng),
+        "overlap-at-tol": border,
+        "compensated-overlap": _compensated(1.05e-9, 0.06e-9),
+        "compensated-overlap-pruned-prefix": _compensated(1.05e-9, 0.06e-9)[::-1],
+        "hadamard-pairs": atoms_of(np.eye(2)) + atoms_of(np.array([[1, 1], [1, -1]]) / np.sqrt(2)),
+    }
+
+
+EQUIVALENCE = _equivalence_cases()
+
+
+class TestReferenceEquivalence:
+    """Rank-1 discovery and the batched dedup against the scans they replaced."""
+
+    @pytest.mark.parametrize("name", list(EQUIVALENCE))
+    def test_discovery_matches_the_depth_first_scan(self, name):
+        ops = EQUIVALENCE[name]
+        ranks = check_projections(np.array(ops))
+        expected = reference_discover_resolutions(ops, ranks)
+        assert discover_resolutions(ops) == expected
+        assert discover_resolutions(ops, ranks) == expected
+
+    @pytest.mark.parametrize("name", list(EQUIVALENCE))
+    def test_dedup_matches_the_all_pairs_scan(self, name):
+        ops = EQUIVALENCE[name]
+        rng = np.random.default_rng(7)
+        picks = rng.integers(len(ops), size=len(ops))
+        # near copies: every entry shifted by 1e-12, or by 3e-10, which moves an
+        # operator by 3e-10 n in norm, below the tolerance for n <= 3 and above at n = 4
+        noisy = ops + [ops[i] + s for i, s in zip(picks, (1e-12, 3e-10) * len(ops))]
+        order = rng.permutation(len(noisy))
+        stack = np.array([noisy[i] for i in order])
+        reps, expected = reference_dedup(list(stack), SPECTRAL_TOL)
+        first, index_map = _dedup(stack, SPECTRAL_TOL)
+        assert index_map == expected
+        assert all(np.array_equal(stack[i], rep) for i, rep in zip(first, reps))
+
+    def test_compensated_overlap_needs_the_eigenvalue_slack(self):
+        ops = EQUIVALENCE["compensated-overlap"]
+        assert check_projections(np.array(ops)) == [1, 1, 1]
+        assert discover_resolutions(ops) == [(0, 1, 2)]
+        # listed the other way round, the scan prunes the prefix of the two rays
+        assert discover_resolutions(ops[::-1]) == []
+
+    @pytest.mark.parametrize("shortfall, found", [(0.5e-9, [(0, 1)]), (2e-9, [])])
+    def test_short_sum_with_declared_ranks(self, shortfall, found):
+        """Remainders that stay positive but exceed the tolerance in norm."""
+        ops = [(1 - shortfall) * p for p in atoms_of(np.eye(2))]
+        assert reference_discover_resolutions(ops, [1, 1]) == found
+        assert discover_resolutions(ops, [1, 1]) == found
+
+    def test_border_overlaps_split_at_the_tolerance(self):
+        found = discover_resolutions(EQUIVALENCE["overlap-at-tol"])
+        assert (0, 2, 3) in found and (0, 2, 4) not in found
+
+    @pytest.mark.parametrize("factor, merged", [(1 - 1e-6, True), (1 + 1e-6, False)])
+    def test_dedup_border_at_the_tolerance(self, factor, merged):
+        angle = np.arcsin(SPECTRAL_TOL * factor)
+        ops = np.array(rank_one_projections([[1.0, 0.0], [np.cos(angle), np.sin(angle)]]))
+        _, expected = reference_dedup(list(ops), SPECTRAL_TOL)
+        first, index_map = _dedup(ops, SPECTRAL_TOL)
+        assert index_map == expected == ([0, 0] if merged else [0, 1])
+
+    def test_build_problem_matches_reference_pipeline(self):
+        ops = EQUIVALENCE["sphere-14-subset"] + EQUIVALENCE["sphere-14-subset"][:5]
+        reps, _ = reference_dedup(ops, SPECTRAL_TOL)
+        expected = reference_discover_resolutions(reps, [1] * len(reps))
+        prob = build_problem(ops, discover=True)
+        assert prob.size == len(reps) == len(ops) - 5
+        assert list(prob.resolutions) == sorted(expected)
+
+    def test_peres_33_has_sixteen_triads_and_is_colourable(self):
+        prob = build_problem(rank_one_projections(peres_33_rays()), discover=True)
+        assert (prob.size, len(prob.resolutions)) == (33, 16)
+        res = find_truth_functions(prob)
+        assert res.exhausted and len(res.solutions) == 3072
+
+
+class TestDiscoveryScale:
+    """Sizes past the old scan's node budget; no wall-clock asserts."""
+
+    def test_sphere_bound_20_gives_the_integer_triads(self):
+        rays = rational_sphere_rays(20)
+        assert len(rays) == 519
+        triads = integer_orthogonal_triads(rays)
+        assert len(triads) == 175
+        assert discover_resolutions(rank_one_projections(rays)) == triads
+
+    def test_problem_from_400_member_family(self):
+        family = generate_family(2, 400, seed=11)
+        prob = problem_from_family(family)
+        assert prob.size == 800
+        assert prob.resolutions == tuple((2 * k, 2 * k + 1) for k in range(400))
 
 
 class TestFindTruthFunctions:

@@ -20,6 +20,7 @@ from nchv.opcore import (
     basis_to_json,
     check_density,
     check_projection,
+    check_projections,
     commutator,
     incompatibility_stack,
     min_commutator_norm,
@@ -75,6 +76,10 @@ class TestProjectionAndDensity:
         with pytest.raises(ValidationError):
             check_projection(np.diag([0.5, 0.0]))
 
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            check_projection(np.array([[1.0, 1e-9], [0.0, 0.0]]))
+
     def test_density_accepts_maximally_mixed(self):
         check_density(np.eye(4) / 4)
 
@@ -89,6 +94,60 @@ class TestProjectionAndDensity:
     def test_dimension_mismatch_raised(self):
         with pytest.raises(DimensionMismatchError):
             commutator(np.eye(2), np.eye(3))
+
+
+def reference_check_projection(op):
+    """The per-operator check that ``check_projections`` batches."""
+    if not np.max(np.abs(op - op.conj().T)) <= STRUCT_TOL:
+        raise ValidationError("projection is not Hermitian")
+    if operator_norm(op @ op - op) > ALGEBRA_TOL:
+        raise ValidationError("projection is not idempotent")
+    eigs = np.linalg.eigvalsh((op + op.conj().T) / 2)
+    return int(np.sum(np.abs(eigs - 1.0) <= 1e-8))
+
+
+NOT_HERMITIAN = np.array([[1.0, 1e-9], [0.0, 0.0]])
+NOT_IDEMPOTENT = np.diag([0.5, 1.0])
+NEITHER = np.array([[0.5, 1e-9], [0.0, 0.0]])
+
+
+class TestCheckProjections:
+    def test_ranks_match_one_at_a_time(self, rng):
+        basis = OrthonormalBasis(np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0])
+        stack = subset_projections(basis, range(16))
+        assert check_projections(stack) == [reference_check_projection(p) for p in stack]
+        assert check_projections(stack) == [bin(m).count("1") for m in range(16)]
+
+    @pytest.mark.parametrize("bad, message", [
+        ([NOT_IDEMPOTENT, NOT_HERMITIAN], "not idempotent"),
+        ([NOT_HERMITIAN, NOT_IDEMPOTENT], "not Hermitian"),
+        ([NEITHER, NOT_IDEMPOTENT], "not Hermitian"),
+        ([np.full((2, 2), np.nan), NOT_IDEMPOTENT], "not Hermitian"),
+        ([NOT_IDEMPOTENT, np.full((2, 2), np.nan)], "not idempotent"),
+    ])
+    def test_first_failure_decides_the_error(self, bad, message):
+        good = np.diag([1.0, 0.0])
+        stack = np.array([good, good] + bad + [good])
+        with pytest.raises(ValidationError, match=message):
+            check_projections(stack)
+        with pytest.raises(ValidationError, match=message):
+            for op in stack:
+                reference_check_projection(op)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_error_matches_a_scan_in_order(self, seed):
+        rng = seeded(seed)
+        pool = [np.diag([1.0, 0.0]), np.eye(2), np.zeros((2, 2)), NOT_HERMITIAN, NOT_IDEMPOTENT,
+                NEITHER]
+        stack = np.array([pool[i] for i in rng.integers(len(pool), size=6)], dtype=complex)
+        try:
+            expected = [reference_check_projection(op) for op in stack]
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=str(exc)):
+                check_projections(stack)
+        else:
+            assert check_projections(stack) == expected
 
 
 class TestBasis:

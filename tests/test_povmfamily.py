@@ -205,6 +205,16 @@ class TestExactRepresentation:
         if n == 4:
             assert len(json.dumps(res.to_json(), sort_keys=True)) <= 9600
 
+    @pytest.mark.parametrize("n, k", [(2, 4), (4, 4), (8, 4), (3, 3)])
+    def test_snap_denominators_have_only_the_weights_odd_factor(self, n, k):
+        def odd(x):
+            return x >> ((x & -x).bit_length() - 1)
+
+        targets = random_resolution(n, k, np.random.default_rng(40 + n))
+        res, diag = snap_resolution(targets, 1e-3, return_diagnostics=True)
+        weights_odd = odd(math.lcm(*(w.denominator for w in diag.mix_weights)))
+        assert all(weights_odd % odd(m.den) == 0 for m in res.members)
+
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_rationalized_operators_sit_on_a_power_of_two_grid(self, n):
         member = random_resolution(n, 3, np.random.default_rng(50 + n))[0]
