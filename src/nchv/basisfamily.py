@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -84,6 +85,13 @@ class BasisFamily:
 
     def __iter__(self):
         return iter(self.members)
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """Read-only (M, n, n) stack of the member bases, in family order."""
+        stack = np.array([m.basis.mat for m in self.members])
+        stack.setflags(write=False)
+        return stack
 
     def member(self, index: int) -> FamilyMember:
         for m in self.members:
@@ -272,7 +280,7 @@ def nearest_member(family: BasisFamily, target: OrthonormalBasis, order_insensit
     require_same_dim(family.members[0].basis.mat, target.mat)
     if order_insensitive and n > 6:
         raise ValidationError("order-insensitive matching is capped at dimension 6")
-    bases_dagger = np.array([m.basis.mat for m in family.members]).conj().swapaxes(1, 2)
+    bases_dagger = family.stack.conj().swapaxes(1, 2)
     dists = np.full(len(family.members), np.inf)
     for order in permutations(range(n)) if order_insensitive else [range(n)]:
         # one stacked product per ordering: the same U as basis_distance, bit for bit

@@ -145,20 +145,30 @@ def build_problem(operators, resolutions=None, *, discover=False,
     reps = stack[first]
     rep_ranks = [ranks[i] for i in first]
 
-    ident = np.eye(dim)
-    resolved: set[tuple[int, ...]] = set()
     try:
         resolutions = list(resolutions or ())
     except TypeError:
         raise ValidationError("resolutions must be a list of index lists") from None
+    read: list[tuple[int, ...]] = []
+    unreadable = None
     for res in resolutions:
-        mapped = tuple(sorted(index_map[i] for i in _universe_indices(res, len(ops))))
-        if len(set(mapped)) != len(mapped):
-            raise ValidationError("resolution lists the same projection twice")
-        total = sum(reps[j] for j in mapped)
-        if operator_norm(total - ident) > SPECTRAL_TOL:
+        try:
+            mapped = tuple(sorted(index_map[i] for i in _universe_indices(res, len(ops))))
+            if len(set(mapped)) != len(mapped):
+                raise ValidationError("resolution lists the same projection twice")
+        except ValidationError as exc:
+            unreadable = exc
+            break
+        read.append(mapped)
+    # one batched SVD over the sums read so far: a bad sum still outranks an
+    # unreadable resolution listed after it, as in a check in order
+    if read:
+        totals = np.array([reps[list(m)].sum(axis=0) for m in read])
+        if (spectral_norms(totals - np.eye(dim)) > SPECTRAL_TOL).any():
             raise ValidationError("resolution members do not sum to the identity")
-        resolved.add(mapped)
+    if unreadable is not None:
+        raise unreadable
+    resolved = set(read)
 
     if discover:
         resolved.update(
@@ -405,11 +415,18 @@ def load_fixture(path) -> ValuationProblem:
         raise ValidationError(f"cannot read fixture {path}: {exc}") from exc
     if "vectors" in data:
         operators = []
-        for entry in data["vectors"]:
-            vec = np.array(
-                [complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-                 for c in entry]
-            )
+        try:
+            vectors = iter(data["vectors"])
+        except TypeError as exc:
+            raise ValidationError(f"fixture vectors are not a list: {exc}") from exc
+        for entry in vectors:
+            try:
+                vec = np.array(
+                    [complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
+                     for c in entry]
+                )
+            except (IndexError, TypeError, ValueError) as exc:
+                raise ValidationError(f"malformed fixture vector {entry!r}: {exc}") from exc
             if vec.shape != (dim,):
                 raise ValidationError("fixture vector has the wrong length")
             norm = np.linalg.norm(vec)

@@ -18,11 +18,12 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .basisfamily import BasisFamily
+from .basisfamily import BasisFamily, FamilyMember
 from .errors import (
     DegenerateTargetError,
     NoCandidateError,
@@ -43,8 +44,8 @@ from .opcore import (
 from .pba import (
     ProjectionBlock,
     TruthValuation,
+    _atom_weights,
     atom_partitions,
-    born_weights,
     build_block,
 )
 from .povmfamily import (
@@ -117,19 +118,27 @@ class MeasurementOutcome:
     trial_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PvmRealization:
     """A family member standing in for the target, with label plumbing.
 
     ``target_to_atom[i]`` is the realized atom carrying the i-th target
     eigenvalue; ``distance`` is the largest spectral gap between matched
-    projections.
+    projections. The member's block is built on first access and kept, so
+    only the candidates a run actually draws pay for one.
     """
 
-    member_index: int
-    block: ProjectionBlock
+    member: FamilyMember
     target_to_atom: tuple[int, ...]
     distance: float
+
+    @property
+    def member_index(self) -> int:
+        return self.member.index
+
+    @cached_property
+    def block(self) -> ProjectionBlock:
+        return build_block(self.member)
 
 
 @dataclass
@@ -168,11 +177,19 @@ def pvm_candidates(observable: HermitianObservable, family: BasisFamily | None,
                    precision: float):
     """All family members realizable within ``precision``, plus the nearest miss.
 
-    One pass over the stacked member bases: overlaps <v_j, P_i v_j> from one
-    stacked product P_i V, labels from each member's maximal-overlap
-    assignment, and each matched distance from the rank-1 identity
-    |P - vv*| = |v - Pv| (the target is nondegenerate), which unlike
-    sqrt(1 - overlap) stays accurate near 0.
+    Bound first: since |v - P_i v|^2 = |v|^2 - <v, P_i v>, one product of
+    the target projections with every vector of the family gives, per
+    member, a squared distance that no labelling can beat: the largest,
+    over rows and over columns, of the smallest such cost. The
+    maximal-overlap assignment and the residual norms then run only on
+    members whose bound reaches the precision or the smallest bound, and
+    once more on those whose bound reaches the best distance found; a
+    member skipped either way can be neither a candidate nor the nearest
+    miss, so the result is that of a full pass. Each matched distance is
+    the rank-1 identity |P - vv*| = |v - Pv| (the target is nondegenerate),
+    which unlike sqrt(1 - overlap) stays accurate near 0. The candidates'
+    atoms are checked to sum to the identity in one batched SVD; their
+    blocks are built only when drawn (see ``PvmRealization``).
     """
     if family is None:
         raise ValidationError("projective request needs a family in the context")
@@ -185,19 +202,41 @@ def pvm_candidates(observable: HermitianObservable, family: BasisFamily | None,
         raise ValidationError("family and observable dimensions differ")
     if not family.members:
         return [], float("inf")
-    bases = np.array([m.basis.mat for m in family.members])
-    # pv[m, i, :, j] = P_i v_j for the j-th vector of member m
-    pv = np.matmul(np.array(observable.projections), bases[:, None])
-    overlap = np.einsum("maj,miaj->mij", bases.conj(), pv).real
-    perms = np.array([linear_sum_assignment(-o)[1] for o in overlap])
-    rows = np.arange(len(bases))[:, None]
-    # resid[m, i] = v - P_i v for the vector v that member m assigns to label i
-    resid = bases[rows, :, perms] - pv[rows, np.arange(n), :, perms]
-    dists = np.linalg.norm(resid, axis=-1).max(axis=1)
+    bases, projs = family.stack, np.array(observable.projections)
+    m_count = len(bases)
+    # every vector of the family as a column, vector j of member m at j * M + m
+    flat = bases.transpose(1, 2, 0).reshape(n, n * m_count)
+    # cost[i, j, m] = |v|^2 - <v, P_i v> = |v - P_i v|^2 for v = v_j of member m
+    cost = (np.einsum("ak,ak->k", flat.conj(), flat).real
+            - np.einsum("ak,iak->ik", flat.conj(), projs @ flat).real).reshape(n, n, m_count)
+    bound = np.maximum(cost.min(axis=1).max(axis=0), cost.min(axis=0).max(axis=0))
+    dists = np.full(m_count, np.inf)
+    perms = np.zeros((m_count, n), dtype=np.intp)
+    # no distance exceeds 1, so a larger precision reaches every member anyway
+    reach = max(min(precision, 2.0) ** 2, bound.min())
+    for _ in range(2):
+        # 1e-12 lies far above the roundoff between the bound and the residual norms
+        todo = np.flatnonzero((bound <= reach + 1e-12) & np.isinf(dists))
+        if todo.size:
+            sub = bases[todo]
+            # pv[m, i, :, j] = P_i v_j for the j-th vector of member m
+            pv = np.matmul(projs, sub[:, None])
+            overlap = np.einsum("maj,miaj->mij", sub.conj(), pv).real
+            perm = np.array([linear_sum_assignment(-o)[1] for o in overlap])
+            rows = np.arange(len(todo))[:, None]
+            # resid[m, i] = v - P_i v for the vector v that member m assigns to label i
+            resid = sub[rows, :, perm] - pv[rows, np.arange(n), :, perm]
+            dists[todo] = np.linalg.norm(resid, axis=-1).max(axis=1)
+            perms[todo] = perm
+        reach = dists.min() ** 2
+    keep = np.flatnonzero(dists < precision)
+    if keep.size:
+        v = bases[keep]
+        if (spectral_norms(v @ v.conj().swapaxes(1, 2) - np.eye(n)) > ALGEBRA_TOL).any():
+            raise ValidationError("atoms do not sum to the identity within 1e-10")
     cands = [
-        PvmRealization(family.members[k].index, build_block(family.members[k]),
-                       tuple(int(c) for c in perms[k]), float(dists[k]))
-        for k in np.flatnonzero(dists < precision)
+        PvmRealization(family.members[k], tuple(int(c) for c in perms[k]), float(dists[k]))
+        for k in keep
     ]
     return cands, float(dists.min())
 
@@ -248,17 +287,29 @@ def _realized_distances(targets, cands) -> list[float]:
     return [float(d) for d in spectral_norms(diff).max(axis=1)]
 
 
-def _grouped_outcomes(cand_ids: np.ndarray, dists, rng: np.random.Generator) -> np.ndarray:
-    """Outcome index per trial; trials are grouped by candidate, draws stay seeded."""
-    out = np.empty(len(cand_ids), dtype=np.int64)
-    for c, dist in enumerate(dists):
-        sel = np.flatnonzero(cand_ids == c)
-        if sel.size == 0:
-            continue
-        cum = np.cumsum(dist)
-        cum[-1] = 1.0
-        out[sel] = np.searchsorted(cum, rng.random(sel.size), side="right")
-    return out
+def _grouped_outcomes(cand_ids: np.ndarray, weights: np.ndarray, rng: np.random.Generator,
+                      in_trial_order: bool = True) -> np.ndarray:
+    """Outcome index per trial from one seeded draw of uniforms.
+
+    Candidate c takes the next ``bincount(cand_ids)[c]`` uniforms, in trial
+    order within the candidate, and an outcome is the number of cumulative
+    thresholds ``cumsum(weights[c])[:-1]`` at or below its uniform. Without
+    ``in_trial_order`` the outcomes stay grouped by candidate; their counts
+    do not depend on the order.
+    """
+    u = rng.random(len(cand_ids))
+    per_cand = np.bincount(cand_ids, minlength=len(weights))
+    outcomes = np.zeros(len(cand_ids), dtype=np.int64)
+    # one threshold column at a time: a row-wise sum over a short axis is far slower
+    for thresholds in np.cumsum(weights, axis=1)[:, :-1].T:
+        outcomes += np.repeat(thresholds, per_cand) <= u
+    if not in_trial_order:
+        return outcomes
+    # a stable sort on a narrow key is a radix sort
+    order = np.argsort(cand_ids.astype(np.min_scalar_type(len(weights) - 1)), kind="stable")
+    restored = np.empty_like(outcomes)
+    restored[order] = outcomes
+    return restored
 
 
 @dataclass
@@ -339,7 +390,10 @@ def run_trials(request: MeasurementRequest, n_trials: int, context: SimulationCo
     By default the apparatus is realized afresh on every trial; with
     ``context.fixed_apparatus`` one realization serves the whole run. The
     reference distribution averages the Born weights of the candidates
-    the apparatus actually draws from.
+    the apparatus actually draws from. The weights of all candidates come
+    from one batched pass, no block is built, and the outcomes from one
+    draw of uniforms handed out by candidate; they are put back in trial
+    order only when ``keep_samples`` returns them.
     """
     if n_trials < 1:
         raise ValidationError("need at least one trial")
@@ -355,28 +409,26 @@ def run_trials(request: MeasurementRequest, n_trials: int, context: SimulationCo
                 nearest_distance=nearest,
             )
         labels = request.observable.eigenvalues
-        dists = []
-        for cand in cands:
-            w = born_weights(density, cand.block)
-            dists.append(w[list(cand.target_to_atom)])
+        w = _atom_weights(density, np.array([c.member.basis.mat for c in cands]))
+        weights = np.take_along_axis(w, np.array([c.target_to_atom for c in cands]), axis=1)
         realized_ids = [c.member_index for c in cands]
         realized_distances = [c.distance for c in cands]
     else:
         _, cands = _povm_draw(request, context.registry, rng_app)
         labels = tuple(range(cands[0].k))
-        dists = [_povm_weights(density, c.members) for c in cands]
+        weights = np.array([_povm_weights(density, c.members) for c in cands])
         realized_ids = [c.index for c in cands]
         realized_distances = _realized_distances(request.povm_targets, cands)
 
     if context.fixed_apparatus:
         fixed = int(rng_app.integers(len(cands)))
         cand_ids = np.full(n_trials, fixed, dtype=np.int64)
-        born = dists[fixed]
+        born = weights[fixed]
     else:
         cand_ids = rng_app.integers(0, len(cands), size=n_trials)
-        born = np.mean(dists, axis=0)
+        born = np.mean(weights, axis=0)
 
-    outcomes = _grouped_outcomes(cand_ids, dists, rng_sys)
+    outcomes = _grouped_outcomes(cand_ids, weights, rng_sys, in_trial_order=keep_samples)
     config = {
         "kind": request.kind,
         "precision": request.precision,

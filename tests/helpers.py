@@ -52,6 +52,24 @@ def reference_pvm_matches(observable, family):
     return matches
 
 
+def reference_grouped_outcomes(cand_ids, dists, rng):
+    """Per-candidate sampler the one-draw sampler must agree with.
+
+    Candidate by candidate, in index order: draw one uniform per trial of
+    that candidate and look each up in the cumulative weights, whose last
+    entry is pinned at 1.
+    """
+    out = np.empty(len(cand_ids), dtype=np.int64)
+    for c, dist in enumerate(dists):
+        sel = np.flatnonzero(cand_ids == c)
+        if sel.size == 0:
+            continue
+        cum = np.cumsum(dist)
+        cum[-1] = 1.0
+        out[sel] = np.searchsorted(cum, rng.random(sel.size), side="right")
+    return out
+
+
 def reference_minor(rows, idx):
     """Leibniz determinant of the principal submatrix of ``rows`` on ``idx``.
 

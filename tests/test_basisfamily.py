@@ -1,7 +1,9 @@
 """Family generation, incompatibility checks, and the repair loop."""
 
+import gc
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -181,6 +183,22 @@ class TestGenerateFamily:
         (tmp_path / "bad.json").write_text('{"members": [], "n": "three"}')
         with pytest.raises(ValidationError):
             BasisFamily.load(tmp_path / "bad.json")
+
+
+class TestMemberStack:
+    def test_read_only_cached_and_in_member_order(self, family10):
+        stack = family10.stack
+        assert stack is family10.stack and not stack.flags.writeable
+        assert stack.shape == (10, 3, 3)
+        assert all(np.array_equal(s, m.basis.mat) for s, m in zip(stack, family10.members))
+
+    def test_the_stack_does_not_keep_its_family_alive(self):
+        family = generate_family(2, 3, seed=5)
+        assert family.stack.shape == (3, 2, 2)
+        ref = weakref.ref(family)
+        del family
+        gc.collect()
+        assert ref() is None
 
 
 class TestNearestMember:

@@ -190,9 +190,13 @@ class TestKscheck:
      json.dumps({"dim": 2, "vectors": [[1, 0], [0, 1]], "resolutions": [[0, "x"]]})),
     (("kscheck", "--fixture", "{dir}/bad.json"),
      json.dumps({"dim": 2, "vectors": [[1, 0], [0, 1]], "resolutions": [[0, -1]]})),
+    (("kscheck", "--fixture", "{dir}/bad.json"), json.dumps({"dim": 2, "vectors": [[1, "x"], [0, 1]]})),
+    (("kscheck", "--fixture", "{dir}/bad.json"), json.dumps({"dim": 2, "vectors": [[1, [1]], [0, 1]]})),
+    (("kscheck", "--fixture", "{dir}/bad.json"), json.dumps({"dim": 2, "vectors": 5})),
 ], ids=["malformed-json", "missing-file", "targets-without-members", "missing-family",
         "malformed-registry", "repeated-registry-index", "resolution-index-past-end",
-        "resolution-index-not-integer", "resolution-index-negative"])
+        "resolution-index-not-integer", "resolution-index-negative", "vector-entry-not-a-number",
+        "vector-entry-short-pair", "vectors-not-a-list"])
 def test_unreadable_input_exits_four(tmp_path, capsys, argv, payload):
     if payload is not None:
         (tmp_path / "bad.json").write_text(payload)

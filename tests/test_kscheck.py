@@ -85,6 +85,15 @@ class TestBuildProblem:
         with pytest.raises(ValidationError):
             build_problem(atoms_of(np.eye(2)), resolutions)
 
+    def test_bad_sum_listed_before_an_unreadable_resolution_is_reported_first(self):
+        ops = atoms_of(np.eye(3))
+        with pytest.raises(ValidationError, match="sum to the identity"):
+            build_problem(ops, [[0, 1, 2], [0, 1], [0, 7]])
+        with pytest.raises(ValidationError, match="not an integer"):
+            build_problem(ops, [[0, 1, 2], [0, 7], [0, 1]])
+        with pytest.raises(ValidationError, match="twice"):
+            build_problem(ops, [[0, 0], [0, 1]])
+
     def test_accepts_numpy_integer_indices(self):
         prob = build_problem(atoms_of(np.eye(2)), [np.array([1, 0])])
         assert prob.resolutions == ((0, 1),)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_density
-from nchv.errors import ValidationError
+from nchv.errors import ValidationError, WeightNormalizationError
 from nchv.opcore import OrthonormalBasis, operator_norm, subset_projections
 from nchv import pba
 from nchv.pba import (
@@ -84,6 +84,25 @@ class TestBornWeights:
             w = born_weights(d, pba10.block(m))
             assert abs(w.sum() - 1.0) < 1e-12
             assert (w >= 0).all()
+
+
+class TestStackedWeights:
+    def test_rows_equal_the_single_block_formula_bit_for_bit(self, pba10):
+        d = random_density(3, np.random.default_rng(3))
+        bases = np.array([pba10.block(m).member.basis.mat for m in range(1, 11)])
+        for row, v in zip(pba._atom_weights(d, bases), bases):
+            w = np.clip(np.einsum("ji,jk,ki->i", v.conj(), d, v).real, 0.0, None)
+            assert np.array_equal(row, w / float(w.sum()))
+
+    def test_first_failing_basis_decides_the_error(self):
+        d = np.diag([1.5, -0.5]).astype(complex)  # unit trace, not positive
+        good = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)  # weights 1/2, 1/2
+        long = 1.2 * good  # weights sum to 1.44
+        negative = np.eye(2, dtype=complex)  # weights 1.5, -0.5, summing to 1
+        with pytest.raises(WeightNormalizationError, match="sum to"):
+            pba._atom_weights(d, np.array([good, long, negative]))
+        with pytest.raises(WeightNormalizationError, match="negative"):
+            pba._atom_weights(d, np.array([good, negative, long]))
 
 
 class TestSampling:

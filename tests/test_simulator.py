@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from helpers import random_density, random_resolution, reference_pvm_matches
-from nchv.basisfamily import BasisFamily, generate_family, haar_basis
+from helpers import (
+    random_density,
+    random_resolution,
+    reference_grouped_outcomes,
+    reference_pvm_matches,
+)
+from nchv.basisfamily import BasisFamily, FamilyMember, Provenance, generate_family, haar_basis
 from nchv.errors import DegenerateTargetError, NoCandidateError, ValidationError
 from nchv.opcore import HermitianObservable
 from nchv import povmfamily, simulator
@@ -24,7 +29,7 @@ from nchv.simulator import (
     run_trials,
     simulate_trial,
 )
-from nchv.pba import TruthValuation
+from nchv.pba import TruthValuation, born_weights
 
 
 def observable_on_member(family, member_pos, eigenvalues):
@@ -78,6 +83,11 @@ class TestPvmRealization:
         h = observable_on_member(family10, 0, [1.0, 2.0, 3.0])
         obs = HermitianObservable.from_operator(h)
         cands, _ = pvm_candidates(obs, family10, 1.999)
+        assert len(cands) == 10
+
+    def test_huge_precision_admits_everyone(self, family10):
+        obs = HermitianObservable.from_operator(np.diag([1.0, 2.0, 3.0]))
+        cands, _ = pvm_candidates(obs, family10, 1e200)
         assert len(cands) == 10
 
     def test_label_to_atom_mapping_respects_eigenvalue_order(self, family10):
@@ -151,6 +161,31 @@ class TestBatchedMatch:
         above, _ = self.check_against_reference(obs, family, dist * (1 + 1e-9))
         assert len(above) == len(below) + 1
 
+    @pytest.mark.parametrize("n,count", [(2, 12), (3, 12), (4, 6), (5, 4)])
+    def test_loose_precision_and_no_candidate(self, n, count):
+        family = generate_family(n, count, seed=50 + n)
+        rng = np.random.default_rng(80 + n)
+        for _ in range(4):
+            obs = observable_on_basis(haar_basis(n, rng), rng)
+            everyone, unpruned = self.check_against_reference(obs, family, 1.999)
+            assert len(everyone) == count
+            # a miss skips members by their bound, yet finds the same nearest, bit for bit
+            nobody, nearest = self.check_against_reference(obs, family, 1e-6)
+            assert nobody == [] and nearest == unpruned
+
+    def test_assignments_skip_members_out_of_reach(self, monkeypatch):
+        rng = np.random.default_rng(90)
+        members = tuple(FamilyMember(i + 1, haar_basis(3, rng), Provenance(None, 0, 0.0))
+                        for i in range(100))
+        family = BasisFamily(3, 1.7, 1e-8, 0, members)
+        calls = []
+        real = simulator.linear_sum_assignment
+        monkeypatch.setattr(simulator, "linear_sum_assignment",
+                            lambda cost: calls.append(1) or real(cost))
+        cands, nearest = pvm_candidates(observable_on_basis(members[40].basis, rng), family, 0.3)
+        assert [c.member_index for c in cands] == [41] and nearest < 1e-12
+        assert len(calls) < 10
+
     def test_empty_family(self):
         empty = BasisFamily(3, 1.7, 1e-8, 0, ())
         obs = HermitianObservable.from_operator(np.diag([1.0, 2.0, 3.0]))
@@ -175,6 +210,75 @@ class TestBatchedMatch:
             calls.clear()
             cands, _ = pvm_candidates(obs, family, 1e-9)
             assert len(cands) == 1 and len(calls) == 1
+
+
+class TestLazyBlocks:
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        built = []
+        real = simulator.build_block
+        monkeypatch.setattr(simulator, "build_block",
+                            lambda member: built.append(member.index) or real(member))
+        return built
+
+    def test_candidates_build_a_block_on_first_access_only(self, family10, built):
+        obs = HermitianObservable.from_operator(observable_on_member(family10, 0, [1.0, 2.0, 3.0]))
+        cands, _ = pvm_candidates(obs, family10, 1.999)
+        assert len(cands) == 10 and built == []
+        assert cands[3].block is cands[3].block
+        assert built == [cands[3].member_index] == [cands[3].block.index]
+
+    def test_run_trials_builds_no_block(self, family10, built):
+        h = observable_on_member(family10, 0, [1.0, 2.0, 3.0])
+        ctx = SimulationContext(np.eye(3) / 3, family=family10)
+        run_trials(MeasurementRequest.pvm(h, 1.999), 500, ctx, keep_samples=True)
+        assert built == []
+
+    def test_audit_builds_each_drawn_candidate_once(self, family10, built):
+        h = observable_on_member(family10, 5, [1.0, 2.0, 3.0])
+        req = MeasurementRequest.pvm(h, 1.999, apparatus_seed=15, system_seed=16)
+        ctx = SimulationContext(np.eye(3) / 3, family=family10)
+        assert run_noncontextuality_audit(req, ctx, 300) == 0
+        assert sorted(built) == [m.index for m in family10.members]
+
+
+class TestGroupedOutcomes:
+    """The one-draw sampler against the per-candidate sampler in ``helpers``."""
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 100])
+    @pytest.mark.parametrize("n_trials", [1, 57, 5000])
+    def test_matches_the_per_candidate_sampler(self, k, n_trials):
+        rng = np.random.default_rng(1000 * k + n_trials)
+        weights = rng.dirichlet(np.ones(4), size=k)
+        # zero weights put thresholds at 0 and repeat them
+        weights[::3] = [1.0, 0.0, 0.0, 0.0]
+        weights[1::3] = [0.0, 0.5, 0.5, 0.0]
+        cand_ids = rng.integers(0, k, size=n_trials)
+        seed = int(rng.integers(2**32))
+        want = reference_grouped_outcomes(cand_ids, weights, np.random.default_rng(seed))
+        got = simulator._grouped_outcomes(cand_ids, weights, np.random.default_rng(seed))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        grouped = simulator._grouped_outcomes(cand_ids, weights, np.random.default_rng(seed),
+                                              in_trial_order=False)
+        # trials come back grouped by candidate, with the same count per (candidate, outcome)
+        assert np.array_equal(np.bincount(np.sort(cand_ids) * 4 + grouped, minlength=4 * k),
+                              np.bincount(cand_ids * 4 + want, minlength=4 * k))
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_run_trials_against_per_block_weights(self, family10, fixed):
+        h = observable_on_member(family10, 0, [1.0, 2.0, 3.0])
+        req = MeasurementRequest.pvm(h, 1.999, apparatus_seed=3, system_seed=4)
+        ctx = SimulationContext(random_density(3, np.random.default_rng(5)), family=family10,
+                                fixed_apparatus=fixed)
+        rep = run_trials(req, 3000, ctx, keep_samples=True)
+        cand_ids, outcomes = rep.samples
+        cands, _ = pvm_candidates(req.observable, family10, 1.999)
+        weights = [born_weights(ctx.density, c.block)[list(c.target_to_atom)] for c in cands]
+        want = reference_grouped_outcomes(cand_ids, weights, np.random.default_rng(4))
+        assert np.array_equal(outcomes, want)
+        born = weights[cand_ids[0]] if fixed else np.mean(weights, axis=0)
+        assert rep.born == tuple(float(x) for x in born)
+        assert run_trials(req, 3000, ctx).counts == rep.counts
 
 
 class TestRunTrialsPvm:
