@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, ValidationError, WeightNormalizationError
 
 STRUCT_TOL = 1e-12
 ALGEBRA_TOL = 1e-10
@@ -41,6 +41,8 @@ __all__ = [
     "is_hermitian",
     "check_projection",
     "check_density",
+    "normalized_weights",
+    "draw_indices",
     "spectral_resolution",
     "validate_resolution",
     "OrthonormalBasis",
@@ -167,6 +169,38 @@ def check_density(op) -> np.ndarray:
     return mat
 
 
+def normalized_weights(raw: np.ndarray) -> np.ndarray:
+    """Normalize raw Born weights Tr(D A_i), one distribution per row of a (..., k) array.
+
+    Noise floor: weights in [-1e-10, 0) are clamped to 0. Anything more
+    negative, or a row total farther than 1e-9 from 1, means the state and
+    the operators disagree and raises WeightNormalizationError. The first
+    failing row decides, with its negativity checked before its total.
+    """
+    low = raw.min(axis=-1)
+    # the same values as np.clip(raw, 0.0, None), without its dispatch cost
+    w = np.maximum(raw, 0.0)
+    totals = w.sum(axis=-1, keepdims=True)
+    bad = (low < -ALGEBRA_TOL) | (np.abs(totals[..., 0] - 1.0) > SPECTRAL_TOL)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if low.flat[k] < -ALGEBRA_TOL:
+            raise WeightNormalizationError(f"Born weight {low.flat[k]:.3e} is negative beyond tolerance")
+        raise WeightNormalizationError(f"Born weights sum to {float(totals.flat[k])!r}, expected 1")
+    return w / totals
+
+
+def draw_indices(weights: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` indices drawn from one row of normalized weights.
+
+    An index is the number of cumulative weights at or below a uniform; the
+    last cumulative weight is pinned to 1, so roundoff never draws past the end.
+    """
+    cum = np.cumsum(weights)
+    cum[-1] = 1.0
+    return np.searchsorted(cum, rng.random(size), side="right").astype(np.int64)
+
+
 def spectral_resolution(op, merge_tol: float = EIGEN_MERGE_TOL) -> list[tuple[float, np.ndarray]]:
     """Eigenvalues and spectral projections of a Hermitian operator.
 
@@ -217,8 +251,10 @@ class OrthonormalBasis:
 
     def __post_init__(self):
         mat = as_operator(self.mat)
-        gram = dagger(mat) @ mat
-        if np.max(np.abs(gram - np.eye(mat.shape[0]))) > ALGEBRA_TOL:
+        if not np.isfinite(mat).all():
+            raise ValidationError("basis entries must be finite")
+        # |V*V - I| = |VV* - I|: the atoms of an accepted basis sum to the identity too
+        if operator_norm(dagger(mat) @ mat - np.eye(mat.shape[0])) > ALGEBRA_TOL:
             raise ValidationError("columns are not orthonormal within 1e-10")
         mat = np.ascontiguousarray(mat)
         mat.setflags(write=False)
@@ -297,10 +333,10 @@ class HermitianObservable:
         values = tuple(val for val, _ in pairs)
         projs = tuple(proj for _, proj in pairs)
         recon = sum(val * proj for val, proj in pairs)
-        if operator_norm(recon - mat) > SPECTRAL_TOL:
+        recon_gap, sum_gap = spectral_norms(np.array([recon - mat, sum(projs) - np.eye(mat.shape[0])]))
+        if recon_gap > SPECTRAL_TOL:
             raise ValidationError("spectral resolution does not reconstruct the operator")
-        total = sum(projs)
-        if operator_norm(total - np.eye(mat.shape[0])) > ALGEBRA_TOL:
+        if sum_gap > ALGEBRA_TOL:
             raise ValidationError("spectral projections do not sum to the identity")
         for proj in projs:
             proj.setflags(write=False)

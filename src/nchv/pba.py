@@ -16,16 +16,14 @@ from functools import lru_cache
 import numpy as np
 
 from .basisfamily import BasisFamily, FamilyMember
-from .errors import ValidationError, WeightNormalizationError
+from .errors import ValidationError
 from .opcore import (
-    ALGEBRA_TOL,
-    SPECTRAL_TOL,
-    atom_projections,
     check_density,
+    draw_indices,
     incompatibility_stack,
     min_commutator_norm,
     nontrivial_masks,
-    operator_norm,
+    normalized_weights,
     pairwise_commutator_norms,
     subset_projection,
 )
@@ -35,7 +33,6 @@ __all__ = [
     "PartialBooleanAlgebra",
     "build_block",
     "born_weights",
-    "sample_block_valuation",
     "sample_block_valuations",
     "TruthValuation",
     "evaluate_element",
@@ -50,10 +47,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ProjectionBlock:
-    """The atoms of one basis; its subset projections are keyed by atom bitmask."""
+    """The block of one basis; its subset projections are keyed by atom bitmask.
+
+    The atoms sum to the identity because ``OrthonormalBasis`` checked the
+    basis when it was made.
+    """
 
     member: FamilyMember
-    atoms: tuple[np.ndarray, ...]
 
     @property
     def index(self) -> int:
@@ -61,7 +61,7 @@ class ProjectionBlock:
 
     @property
     def n(self) -> int:
-        return len(self.atoms)
+        return self.member.basis.dim
 
     @property
     def full_mask(self) -> int:
@@ -73,12 +73,8 @@ class ProjectionBlock:
 
 
 def build_block(member: FamilyMember) -> ProjectionBlock:
-    """Construct the block spanned by a family member from its atoms."""
-    atoms = atom_projections(member.basis)
-    if operator_norm(atoms.sum(axis=0) - np.eye(len(atoms))) > ALGEBRA_TOL:
-        raise ValidationError("atoms do not sum to the identity within 1e-10")
-    atoms.setflags(write=False)
-    return ProjectionBlock(member=member, atoms=tuple(atoms))
+    """The block spanned by a family member."""
+    return ProjectionBlock(member)
 
 
 class PartialBooleanAlgebra:
@@ -130,39 +126,17 @@ def born_weights(density: np.ndarray, block: ProjectionBlock) -> np.ndarray:
 def _atom_weights(d: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """``born_weights`` of every basis in a (m, n, n) stack, in one pass.
 
-    ``d`` must already have passed check_density. The first basis whose
-    weights fail raises, with its negativity checked before its total.
+    ``d`` must already have passed check_density; ``normalized_weights``
+    decides which basis, if any, fails.
     """
     if bases.shape[-1] != d.shape[0]:
         raise ValidationError("state and block dimensions differ")
-    w = np.einsum("mji,jk,mki->mi", bases.conj(), d, bases).real
-    low = w.min(axis=1)
-    # the same values as np.clip(w, 0.0, None), without its dispatch cost
-    w = np.maximum(w, 0.0)
-    totals = w.sum(axis=1)
-    bad = (low < -ALGEBRA_TOL) | (np.abs(totals - 1.0) > SPECTRAL_TOL)
-    if bad.any():
-        k = int(np.argmax(bad))
-        if low[k] < -ALGEBRA_TOL:
-            raise WeightNormalizationError(f"atom weight {low[k]:.3e} is negative beyond tolerance")
-        raise WeightNormalizationError(f"atom weights sum to {float(totals[k])!r}, expected 1")
-    return w / totals[:, None]
-
-
-def _draw_atoms(w: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
-    cum = np.cumsum(w)
-    cum[-1] = 1.0
-    return np.searchsorted(cum, rng.random(size), side="right").astype(np.int64)
+    return normalized_weights(np.einsum("mji,jk,mki->mi", bases.conj(), d, bases).real)
 
 
 def sample_block_valuations(density, block: ProjectionBlock, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` independent chosen atoms from the block's Born weights."""
-    return _draw_atoms(born_weights(density, block), rng, size)
-
-
-def sample_block_valuation(density, block: ProjectionBlock, rng: np.random.Generator) -> int:
-    """Draw the chosen atom for one block: index i with probability Tr(D atom_i)."""
-    return int(sample_block_valuations(density, block, rng, 1)[0])
+    return draw_indices(born_weights(density, block), rng, size)
 
 
 class TruthValuation:
@@ -174,10 +148,9 @@ class TruthValuation:
     atom's bit lies in the element's mask.
     """
 
-    def __init__(self, density, rng: np.random.Generator, stream_id: str | None = None):
+    def __init__(self, density, rng: np.random.Generator):
         self.density = check_density(density)
         self.rng = rng
-        self.stream_id = stream_id
         self.chosen: dict[int, int] = {}
 
     def populate(self, block: ProjectionBlock) -> int:
@@ -185,7 +158,7 @@ class TruthValuation:
         if atom is None:
             # the constructor validated the density, so no block rechecks it
             w = _atom_weights(self.density, block.member.basis.mat[None])[0]
-            atom = int(_draw_atoms(w, self.rng, 1)[0])
+            atom = int(draw_indices(w, self.rng, 1)[0])
             self.chosen[block.index] = atom
         return atom
 
@@ -201,12 +174,6 @@ class TruthValuation:
             raise ValidationError(f"block {block.index} is not populated")
         atom = self.chosen[block.index]
         return [(mask >> atom) & 1 for mask in range(1 << block.n)]
-
-    def to_json(self) -> dict:
-        return {
-            "chosen": {str(k): v for k, v in sorted(self.chosen.items())},
-            "provenance": {"stream": self.stream_id, "dim": int(self.density.shape[0])},
-        }
 
 
 def evaluate_element(valuation: TruthValuation, pba: PartialBooleanAlgebra, block_index: int, mask: int) -> int:

@@ -27,15 +27,14 @@ from .errors import (
     PrecisionError,
     RegistryCollisionError,
     ValidationError,
-    WeightNormalizationError,
 )
 from .opcore import (
-    ALGEBRA_TOL,
-    SPECTRAL_TOL,
     as_operator,
     check_density,
     dagger,
+    draw_indices,
     is_hermitian,
+    normalized_weights,
     operator_norm,
     read_json,
     require_same_dim,
@@ -60,7 +59,6 @@ __all__ = [
     "rationalize_po",
     "snap_resolution",
     "phase_tag",
-    "sample_povm_outcome",
     "sample_povm_outcomes",
 ]
 
@@ -740,28 +738,14 @@ class ResolutionRegistry:
 
 
 def _povm_weights(density, members) -> np.ndarray:
-    """Outcome weights Tr(D member_i) for a density that already passed check_density."""
-    w = np.array([float(np.trace(density @ m).real) for m in members])
-    if w.min() < -ALGEBRA_TOL:
-        raise WeightNormalizationError(f"outcome weight {w.min():.3e} is negative beyond tolerance")
-    w = np.clip(w, 0.0, None)
-    total = float(w.sum())
-    if abs(total - 1.0) > SPECTRAL_TOL:
-        raise WeightNormalizationError(f"outcome weights sum to {total!r}, expected 1")
-    return w / total
+    """Outcome weights Tr(D member_i) for a density that already passed check_density.
 
-
-def _draw_outcomes(density, members, rng: np.random.Generator, size: int) -> np.ndarray:
-    # sample_povm_outcomes for a density that already passed check_density
-    cum = np.cumsum(_povm_weights(density, members))
-    cum[-1] = 1.0
-    return np.searchsorted(cum, rng.random(size), side="right").astype(np.int64)
+    ``members`` is one resolution, (k, n, n), or a stack of them, (m, k, n, n);
+    ``normalized_weights`` decides which resolution, if any, fails.
+    """
+    return normalized_weights(np.trace(density @ np.asarray(members), axis1=-2, axis2=-1).real)
 
 
 def sample_povm_outcomes(density, tagged: TaggedResolution, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` outcome indices with probabilities Tr(D member_i)."""
-    return _draw_outcomes(check_density(density), tagged.members, rng, size)
-
-
-def sample_povm_outcome(density, tagged: TaggedResolution, rng: np.random.Generator) -> int:
-    return int(sample_povm_outcomes(density, tagged, rng, 1)[0])
+    return draw_indices(_povm_weights(check_density(density), tagged.members), rng, size)

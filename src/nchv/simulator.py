@@ -36,6 +36,7 @@ from .opcore import (
     as_operator,
     check_density,
     commutator,
+    draw_indices,
     operator_norm,
     require_same_dim,
     spectral_norms,
@@ -45,13 +46,12 @@ from .pba import (
     ProjectionBlock,
     TruthValuation,
     _atom_weights,
-    atom_partitions,
     build_block,
+    verify_homomorphism,
 )
 from .povmfamily import (
     ResolutionRegistry,
     TaggedResolution,
-    _draw_outcomes,
     _povm_weights,
     snap_resolution,
 )
@@ -188,7 +188,6 @@ def pvm_candidates(observable: HermitianObservable, family: BasisFamily | None,
     miss, so the result is that of a full pass. Each matched distance is
     the rank-1 identity |P - vv*| = |v - Pv| (the target is nondegenerate),
     which unlike sqrt(1 - overlap) stays accurate near 0. The candidates'
-    atoms are checked to sum to the identity in one batched SVD; their
     blocks are built only when drawn (see ``PvmRealization``).
     """
     if family is None:
@@ -229,14 +228,9 @@ def pvm_candidates(observable: HermitianObservable, family: BasisFamily | None,
             dists[todo] = np.linalg.norm(resid, axis=-1).max(axis=1)
             perms[todo] = perm
         reach = dists.min() ** 2
-    keep = np.flatnonzero(dists < precision)
-    if keep.size:
-        v = bases[keep]
-        if (spectral_norms(v @ v.conj().swapaxes(1, 2) - np.eye(n)) > ALGEBRA_TOL).any():
-            raise ValidationError("atoms do not sum to the identity within 1e-10")
     cands = [
         PvmRealization(family.members[k], tuple(int(c) for c in perms[k]), float(dists[k]))
-        for k in keep
+        for k in np.flatnonzero(dists < precision)
     ]
     return cands, float(dists.min())
 
@@ -416,7 +410,7 @@ def run_trials(request: MeasurementRequest, n_trials: int, context: SimulationCo
     else:
         _, cands = _povm_draw(request, context.registry, rng_app)
         labels = tuple(range(cands[0].k))
-        weights = np.array([_povm_weights(density, c.members) for c in cands])
+        weights = _povm_weights(density, [c.members for c in cands])
         realized_ids = [c.index for c in cands]
         realized_distances = _realized_distances(request.povm_targets, cands)
 
@@ -456,31 +450,20 @@ def simulate_trial(request: MeasurementRequest, context: SimulationContext,
         label = request.observable.eigenvalues[label_index]
         return MeasurementOutcome(label, realization.member_index, realization.distance, trial_id)
     tagged = realize_povm(request, context.registry, rng_apparatus)
-    idx = int(_draw_outcomes(density, tagged.members, rng_system, 1)[0])
+    idx = int(draw_indices(_povm_weights(density, tagged.members), rng_system, 1)[0])
     dist = _realized_distances(request.povm_targets, [tagged])[0]
     return MeasurementOutcome(idx, tagged.index, dist, trial_id)
 
 
 def noncontextuality_audit(valuation: TruthValuation, block: ProjectionBlock) -> int:
-    """Read every element of a block through every atom partition.
+    """1 when the block's values break a homomorphism law, else 0.
 
-    Counts two kinds of violation: an element whose value changes between
-    partitions, and a partition whose values do not sum to 1. The chosen
-    atom representation makes both impossible; the audit rechecks anyway.
+    ``verify_homomorphism`` reads every element of the block and checks that
+    every atom partition sums to 1, that complements flip and that products
+    multiply. The chosen atom representation makes a violation impossible;
+    the audit rechecks anyway.
     """
-    seen: dict[int, int] = {}
-    violations = 0
-    for parts in atom_partitions(block.n):
-        total = 0
-        for mask in parts:
-            val = valuation.evaluate(block, mask)
-            total += val
-            if mask in seen and seen[mask] != val:
-                violations += 1
-            seen[mask] = val
-        if total != 1:
-            violations += 1
-    return violations
+    return int(not verify_homomorphism(valuation, block))
 
 
 def run_noncontextuality_audit(request: MeasurementRequest, context: SimulationContext,
@@ -493,9 +476,11 @@ def run_noncontextuality_audit(request: MeasurementRequest, context: SimulationC
     cands, nearest = pvm_candidates(request.observable, context.family, request.precision)
     if not cands:
         raise NoCandidateError("no realizable member for the audit", nearest_distance=nearest)
+    # one valuation, emptied before each trial, draws what a fresh one would
+    valuation = TruthValuation(context.density, rng_sys)
     violations = 0
     for _ in range(n_trials):
         cand = cands[int(rng_app.integers(len(cands)))]
-        valuation = TruthValuation(context.density, rng_sys)
+        valuation.chosen.clear()
         violations += noncontextuality_audit(valuation, cand.block)
     return violations

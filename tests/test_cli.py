@@ -172,6 +172,19 @@ class TestKscheck:
         assert "stopped at the limit" in capsys.readouterr().out
 
 
+def nearly_orthonormal_family():
+    """A one-member n = 2 family whose Gram error is 8e-11 entrywise but 1.6e-10 in norm.
+
+    The basis is nearly Hadamard, so no diagonal target is within 0.5 of it:
+    only a check made when the family loads can give exit code 4.
+    """
+    mat = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2) @ (np.eye(2) + 4e-11 * np.ones((2, 2)))
+    vectors = [{"re": [float(x) for x in mat[:, i]], "im": [0.0, 0.0]} for i in range(2)]
+    return {"n": 2, "net_bound": 1.0, "floor": 1e-8, "seed": 0,
+            "members": [{"index": 1, "basis": {"dim": 2, "vectors": vectors},
+                         "provenance": {"seed": 0, "replacements": 0, "distance_moved": 0.0}}]}
+
+
 @pytest.mark.parametrize("argv, payload", [
     (("kscheck", "--fixture", "{dir}/bad.json"), '{"dim": 3, "vectors": ['),
     (("kscheck", "--fixture", "{dir}/missing.json"), None),
@@ -193,10 +206,13 @@ class TestKscheck:
     (("kscheck", "--fixture", "{dir}/bad.json"), json.dumps({"dim": 2, "vectors": [[1, "x"], [0, 1]]})),
     (("kscheck", "--fixture", "{dir}/bad.json"), json.dumps({"dim": 2, "vectors": [[1, [1]], [0, 1]]})),
     (("kscheck", "--fixture", "{dir}/bad.json"), json.dumps({"dim": 2, "vectors": 5})),
+    (("simulate", "pvm", "--family", "{dir}/bad.json", "--state", "{dir}/state.json",
+      "--target", "{dir}/target.json", "--eps", 0.5, "--trials", 10),
+     json.dumps(nearly_orthonormal_family())),
 ], ids=["malformed-json", "missing-file", "targets-without-members", "missing-family",
         "malformed-registry", "repeated-registry-index", "resolution-index-past-end",
         "resolution-index-not-integer", "resolution-index-negative", "vector-entry-not-a-number",
-        "vector-entry-short-pair", "vectors-not-a-list"])
+        "vector-entry-short-pair", "vectors-not-a-list", "basis-orthonormal-only-entrywise"])
 def test_unreadable_input_exits_four(tmp_path, capsys, argv, payload):
     if payload is not None:
         (tmp_path / "bad.json").write_text(payload)

@@ -155,6 +155,21 @@ class TestBasis:
         with pytest.raises(ValidationError):
             OrthonormalBasis(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
+    def test_orthonormality_is_checked_in_the_spectral_norm(self):
+        # Gram error 8e-11 entrywise but 1.6e-10 in the spectral norm
+        mat = np.eye(3) + 4e-11 * (np.ones((3, 3)) - np.eye(3))
+        gap = mat.conj().T @ mat - np.eye(3)
+        assert np.abs(gap).max() < ALGEBRA_TOL < operator_norm(gap)
+        with pytest.raises(ValidationError, match="orthonormal"):
+            OrthonormalBasis(mat)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_entries_must_be_finite(self, bad):
+        mat = np.eye(3, dtype=complex)
+        mat[0, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            OrthonormalBasis(mat)
+
     def test_distance_to_hadamard_is_two(self):
         # I - H has eigenvalues {0, 2} since H is a Hermitian unitary
         b1 = OrthonormalBasis(np.eye(2))
@@ -247,6 +262,28 @@ class TestHermitianObservable:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             HermitianObservable.from_operator(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_both_checks_take_one_svd(self, monkeypatch):
+        calls = []
+        real = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg._linalg, "svd", counted)
+        HermitianObservable.from_operator(random_hermitian(4, seeded(12)))
+        assert len(calls) == 1
+
+    def test_reconstruction_is_checked_before_the_sum(self, monkeypatch):
+        # both gaps fail; the reconstruction message wins, as before
+        monkeypatch.setattr(opcore, "spectral_norms", lambda stack: np.ones(len(stack)))
+        with pytest.raises(ValidationError, match="reconstruct"):
+            HermitianObservable.from_operator(np.diag([1.0, 2.0]))
+        monkeypatch.setattr(opcore, "spectral_norms", lambda stack: np.array([0.0, 1.0]))
+        with pytest.raises(ValidationError, match="sum to the identity"):
+            HermitianObservable.from_operator(np.diag([1.0, 2.0]))
 
 
 class TestValidateResolution:

@@ -9,6 +9,7 @@ from helpers import random_density
 from nchv.errors import ValidationError, WeightNormalizationError
 from nchv.opcore import OrthonormalBasis, operator_norm, subset_projections
 from nchv import pba
+from nchv.povmfamily import _povm_weights
 from nchv.pba import (
     PartialBooleanAlgebra,
     ProjectionBlock,
@@ -94,15 +95,21 @@ class TestStackedWeights:
             w = np.clip(np.einsum("ji,jk,ki->i", v.conj(), d, v).real, 0.0, None)
             assert np.array_equal(row, w / float(w.sum()))
 
-    def test_first_failing_basis_decides_the_error(self):
+    @pytest.mark.parametrize("weights", [
+        pba._atom_weights,
+        # the same weights as Tr(D v_i v_i*) of a stack of resolutions
+        lambda d, bases: _povm_weights(d, np.einsum("mai,mbi->miab", bases, bases.conj())),
+    ], ids=["atoms", "outcomes"])
+    def test_first_failing_row_decides_the_error(self, weights):
         d = np.diag([1.5, -0.5]).astype(complex)  # unit trace, not positive
         good = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)  # weights 1/2, 1/2
         long = 1.2 * good  # weights sum to 1.44
         negative = np.eye(2, dtype=complex)  # weights 1.5, -0.5, summing to 1
+        assert np.array_equal(weights(d, np.array([good, good])), np.full((2, 2), 0.5))
         with pytest.raises(WeightNormalizationError, match="sum to"):
-            pba._atom_weights(d, np.array([good, long, negative]))
+            weights(d, np.array([good, long, negative]))
         with pytest.raises(WeightNormalizationError, match="negative"):
-            pba._atom_weights(d, np.array([good, negative, long]))
+            weights(d, np.array([good, negative, long]))
 
 
 class TestSampling:

@@ -552,6 +552,20 @@ class TestPovmSampling:
         for i in range(3):
             assert abs(emp[i] - w[i]) < 4 * np.sqrt(w[i] * (1 - w[i]) / n) + 1e-9
 
+    def test_stacked_weights_equal_the_per_member_loop_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        for n, k in [(2, 2), (2, 5), (3, 3), (4, 6)]:
+            d = random_density(n, rng)
+            stack = [phase_tag(snap_resolution(random_resolution(n, k, rng), 0.01), 5).members
+                     for _ in range(4)]
+            want = []
+            for members in stack:
+                w = np.array([float(np.trace(d @ m).real) for m in members])
+                w = np.clip(w, 0.0, None)
+                want.append(w / float(w.sum()))
+            assert np.array_equal(_povm_weights(d, stack), np.array(want))
+            assert np.array_equal(_povm_weights(d, stack[2]), want[2])
+
     def test_weights_reject_deficient_members(self):
         members = [np.diag([0.5, 0.5]), np.diag([0.4, 0.4])]
         with pytest.raises(WeightNormalizationError):

@@ -12,7 +12,7 @@ from helpers import (
 from nchv.basisfamily import BasisFamily, FamilyMember, Provenance, generate_family, haar_basis
 from nchv.errors import DegenerateTargetError, NoCandidateError, ValidationError
 from nchv.opcore import HermitianObservable
-from nchv import povmfamily, simulator
+from nchv import pba, povmfamily, simulator
 from nchv.opcore import operator_norm
 from nchv.povmfamily import ResolutionRegistry, snap_resolution
 from nchv.simulator import (
@@ -194,7 +194,7 @@ class TestBatchedMatch:
             realize_pvm(MeasurementRequest.pvm(obs, 0.5), empty, np.random.default_rng(0))
 
     def test_svd_calls_do_not_grow_with_family_size(self, monkeypatch):
-        # the only SVD left is build_block's identity check, once per candidate
+        # no SVD at all: the bases were checked orthonormal when they were made
         calls = []
         real = np.linalg.svd
 
@@ -209,7 +209,7 @@ class TestBatchedMatch:
             obs = observable_on_basis(family.members[1].basis, np.random.default_rng(0))
             calls.clear()
             cands, _ = pvm_candidates(obs, family, 1e-9)
-            assert len(cands) == 1 and len(calls) == 1
+            assert len(cands) == 1 and len(calls) == 0
 
 
 class TestLazyBlocks:
@@ -467,6 +467,21 @@ class TestAudit:
         req = MeasurementRequest.pvm(h, 0.5, apparatus_seed=15, system_seed=16)
         ctx = SimulationContext(np.eye(3) / 3, family=family10)
         assert run_noncontextuality_audit(req, ctx, 300) == 0
+
+    def test_run_checks_the_density_once(self, family10, monkeypatch):
+        checked = []
+        real = pba.check_density
+        monkeypatch.setattr(pba, "check_density", lambda d: checked.append(1) or real(d))
+        h = observable_on_member(family10, 5, [1.0, 2.0, 3.0])
+        req = MeasurementRequest.pvm(h, 1.999, apparatus_seed=15, system_seed=16)
+        ctx = SimulationContext(np.eye(3) / 3, family=family10)
+        assert run_noncontextuality_audit(req, ctx, 300) == 0
+        assert len(checked) == 1
+
+    def test_counts_a_block_that_breaks_a_law(self, pba10):
+        val = TruthValuation(np.eye(3) / 3, np.random.default_rng(5))
+        val.chosen[2] = 3  # no atom 3 in dimension 3: every value reads 0
+        assert noncontextuality_audit(val, pba10.block(2)) == 1
 
     def test_audit_is_pvm_only(self):
         rng = np.random.default_rng(28)
