@@ -7,31 +7,30 @@ Kochen-Specker style obstructions show up as problems with no truth
 function at all; the search here either enumerates the solutions or
 certifies that none exist.
 
-Resolutions can be handed in explicitly or discovered. When every element
-has rank 1, discovery enumerates the cliques of an orthogonality graph
-built from one table of eigenvector overlaps and confirms each clique with
-the norm checks; otherwise a depth-first scan over the universe prunes
-with positivity. Validation and deduplication each make batched passes
-over the stacked operators.
+Resolutions can be handed in explicitly or discovered. Discovery, for any
+mix of ranks, enumerates the cliques of an orthogonality graph built from
+one table of overlaps between the elements' top eigenvectors, with a rank
+budget per clique, and confirms each clique with the positivity and norm
+checks of a depth-first scan over the universe, whose output it provably
+reproduces. Validation and deduplication each make batched passes over
+the stacked operators.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import SearchCapError, ValidationError
+from .errors import DimensionMismatchError, SearchCapError, ValidationError
 from .opcore import (
     SPECTRAL_TOL,
     as_operator,
     check_projections,
     operator_from_json,
     operator_norm,
-    require_same_dim,
+    read_json,
     spectral_norms,
 )
 
@@ -182,110 +181,102 @@ def discover_resolutions(operators, ranks=None, *,
                          node_budget=DEFAULT_DISCOVERY_BUDGET):
     """Find every subset of the universe that sums to the identity.
 
-    Returns index tuples in lexicographic order. When every element has
-    rank 1 the candidates are the ``dim``-cliques of an orthogonality graph
-    built from one overlap table (see ``_rank_one_resolutions``); otherwise
-    a depth-first scan over increasing indices drops a branch as soon as
-    the remainder I - S stops being positive semidefinite or the ranks
-    overshoot the dimension. Raises SearchCapError when the node budget
-    (partial cliques, or scan nodes) runs out.
+    The answer is defined by a depth-first scan over increasing indices: a
+    branch dies as soon as the remainder I - S has an eigenvalue below -tol
+    or the ranks overshoot n, and a set whose ranks reach n is kept when
+    |I - S| <= tol. Index tuples come back in lexicographic order. The scan
+    itself is never run; its output is found as follows.
+
+    Write H_c for the Hermitian part of element c, r_c >= 0 for its rank
+    (declared, or from ``check_projections``), U_c for its top r_c
+    eigenvectors and eta_c = |H_c - U_c U_c*|, the distance of its spectrum
+    to r_c ones and n - r_c zeros. The scan accepts a set T only if its
+    ranks sum to n and |I - S| <= tol. The Hermitian part of a matrix has at
+    most its norm, so |I - sum_T H_c| <= tol, and by the triangle inequality
+    |I - W W*| <= tol + sum_T eta_c for W = [U_c]_{c in T}. W is square, so
+    W W* and W* W share their eigenvalues, and an entry of the off-diagonal
+    block U_a* U_b of I - W* W is at most its norm. At most n members of T
+    have nonzero rank, and z elements of the universe have rank 0, so every
+    pair a, b of nonzero rank in T has
+        max |entry of U_a* U_b| <= tol + eta_a + eta_b + (n - 2 + z) max eta.
+    These pairs are the edges of an orthogonality graph; an element of rank
+    0 owns no vectors and is adjacent to every element. Every accepted set
+    is therefore a clique. For rank 1 the test reads
+    |<u_a, u_b>| <= tol + eta_a + eta_b + (n - 2) max eta.
+
+    The cliques are enumerated in lexicographic order, one node per partial
+    clique, and a branch stops once its ranks reach n (so, as in the scan,
+    no element follows a full set) or exceed it, or once its extensions are
+    too few to make up the missing rank. Each clique then passes through
+    the scan's own checks on the same prefix sums: no prefix remainder with
+    an eigenvalue below -tol, and |I - S| <= tol. The output is therefore
+    the scan's, tuple for tuple. Raises SearchCapError when more than
+    ``node_budget`` partial cliques are visited.
     """
-    ops = [as_operator(o) for o in operators]
-    if not ops:
+    try:
+        ops = np.asarray(operators, dtype=complex)
+    except ValueError as exc:
+        raise DimensionMismatchError(f"operators do not form one stack: {exc}") from exc
+    if not len(ops):
         return []
-    dim = require_same_dim(*ops)
-    ops = np.array(ops)
-    if ranks is None:
-        ranks = check_projections(ops)
-    if all(r == 1 for r in ranks):
-        return _rank_one_resolutions(ops, node_budget)
-    ident = np.eye(dim)
-    found: list[tuple[int, ...]] = []
-    nodes = 0
-    # levels still to scan, deepest last: (next index, chosen, partial sum, rank)
-    pending = [(0, (), np.zeros((dim, dim), dtype=complex), 0)]
-    while pending:
-        start, chosen, total, rank = pending.pop()
-        for j in range(start, len(ops)):
-            nodes += 1
-            if nodes > node_budget:
-                raise SearchCapError(
-                    f"resolution discovery exceeded {node_budget} nodes"
-                )
-            r = rank + ranks[j]
-            if r > dim:
-                continue
-            s = total + ops[j]
-            gap = ident - s
-            if float(np.linalg.eigvalsh(gap)[0]) < -SPECTRAL_TOL:
-                continue
-            if r == dim:
-                if operator_norm(gap) <= SPECTRAL_TOL:
-                    found.append(chosen + (j,))
-                continue
-            # descend into j; this level resumes at j + 1 once that subtree is done
-            pending += [(j + 1, chosen, total, rank), (j + 1, chosen + (j,), s, r)]
-            break
-    return found
-
-
-def _rank_one_resolutions(ops, node_budget):
-    """The scan's resolutions of a (m, n, n) stack of rank-1 elements.
-
-    Write H_c for the Hermitian part of element c, u_c for its top
-    eigenvector and eta_c = |H_c - u_c u_c*|, the distance of its spectrum
-    to {1} (top eigenvalue) and {0} (the rest). The scan accepts a set T of
-    n elements only if |I - S| <= tol for S their sum. The Hermitian part
-    of a matrix has at most its norm, so |I - sum H_c| <= tol, and by Weyl
-    |I - U U*| <= tol + sum_T eta_c for U = [u_c]. U U* and the Gram matrix
-    U* U share their eigenvalues, and an off-diagonal entry is at most the
-    norm, so every pair a, b in T has
-        |<u_a, u_b>| <= tol + eta_a + eta_b + (n - 2) max eta.
-    These pairs are the edges of the orthogonality graph, so every accepted
-    set is an n-clique. Each clique found (in lexicographic order, one node
-    per partial clique) then passes through the scan's own checks on the
-    same prefix sums: no prefix remainder with an eigenvalue below -tol, and
-    |I - S| <= tol. The output is therefore the scan's, element for element.
-    """
-    m, dim = len(ops), ops.shape[-1]
+    if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or ops.shape[1] == 0:
+        raise DimensionMismatchError(f"expected a stack of square matrices, got shape {ops.shape}")
+    m, dim = ops.shape[:2]
+    ranks = [int(r) for r in (check_projections(ops) if ranks is None else ranks)]
+    top_rank = max(ranks)
+    if top_rank < 1:
+        return []
     w, v = np.linalg.eigh((ops + ops.conj().swapaxes(-1, -2)) / 2)
-    vecs = v[..., -1]
-    eta = np.maximum(np.abs(w[:, -1] - 1), np.abs(w[:, :-1]).max(axis=1, initial=0.0))
+    top = np.arange(dim) >= dim - np.array(ranks)[:, None]
+    eta = np.abs(w - top).max(axis=1)
+    # k rows per element: the columns of U_c, then zero rows (all zero at rank 0),
+    # which leave the largest entry of every block U_a* U_b as it is
+    k = min(top_rank, dim)
+    vecs = (v[..., -k:] * top[:, None, -k:]).swapaxes(-1, -2).reshape(m * k, dim)
     # 1e-12 lies far above the roundoff of the eigenvectors and their overlaps
-    slack = SPECTRAL_TOL + max(dim - 2, 0) * eta.max() + 1e-12
+    slack = SPECTRAL_TOL + max(dim - 2 + ranks.count(0), 0) * eta.max() + 1e-12
     cols = np.arange(m)
     above = []  # bitset of the neighbours j > i of each element i
-    step = max(1, (1 << 20) // m)
+    step = max(1, (1 << 20) // (m * k * k))
     for lo in range(0, m, step):
         rows = cols[lo:lo + step]
-        overlap = np.abs(vecs[rows].conj() @ vecs.T)
+        overlap = np.abs(vecs[lo * k:(lo + step) * k].conj() @ vecs.T)
+        if k > 1:  # largest entry of each block U_a* U_b
+            overlap = overlap.reshape(len(rows), k, m, k).max(axis=(1, 3))
         near = (overlap <= slack + eta[rows, None] + eta[None, :]) & (cols > rows[:, None])
         for bits in np.packbits(near, axis=1, bitorder="little"):
             above.append(int.from_bytes(bits.tobytes(), "little"))
 
     cliques: list[tuple[int, ...]] = []
     nodes = 0
-    # partial cliques still to extend, deepest last: (clique, bitset of extensions)
-    pending = [((), (1 << m) - 1)]
+    # partial cliques still to extend, deepest last: (clique, rank still missing, bitset of extensions)
+    pending = [((), dim, (1 << m) - 1)]
     while pending:
-        chosen, cand = pending.pop()
+        chosen, left, cand = pending.pop()
         if not cand:
             continue
         j = (cand & -cand).bit_length() - 1
-        pending.append((chosen, cand & (cand - 1)))
+        pending.append((chosen, left, cand & (cand - 1)))
         nodes += 1
         if nodes > node_budget:
             raise SearchCapError(f"resolution discovery exceeded {node_budget} nodes")
-        clique = chosen + (j,)
-        if len(clique) == dim:
-            cliques.append(clique)
+        rest = left - ranks[j]
+        if rest <= 0:
+            if rest == 0:
+                cliques.append(chosen + (j,))
             continue
         ext = cand & above[j]
-        if ext.bit_count() >= dim - len(clique):
-            pending.append((clique, ext))
+        # filling the rest takes at least rest / top_rank more elements
+        if ext.bit_count() * top_rank >= rest:
+            pending.append((chosen + (j,), rest, ext))
     if not cliques:
         return []
-    gaps = np.eye(dim) - np.cumsum(ops[np.array(cliques)], axis=1)
+    # cliques padded in front with a zero element (index m) share one batch;
+    # a zero prefix leaves the remainder at I, as the scan's empty sum does
+    width = max(map(len, cliques))
+    padded = np.array([(m,) * (width - len(c)) + c for c in cliques])
+    sums = np.cumsum(np.concatenate((ops, np.zeros((1, dim, dim))))[padded], axis=1)
+    gaps = np.eye(dim) - sums
     prefix_ok = ~(np.linalg.eigvalsh(gaps)[..., 0] < -SPECTRAL_TOL).any(axis=1)
     keep = prefix_ok & (spectral_norms(gaps[:, -1]) <= SPECTRAL_TOL)
     return [c for c, ok in zip(cliques, keep) if ok]
@@ -408,11 +399,11 @@ def load_fixture(path) -> ValuationProblem:
     {"dim", "operators", "resolutions"?} with full operator payloads. A
     missing resolutions key triggers discovery.
     """
+    data = read_json(path)
     try:
-        data = json.loads(Path(path).read_text())
         dim = int(data["dim"])
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ValidationError(f"cannot read fixture {path}: {exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"fixture {path} has no integer dim: {exc}") from exc
     if "vectors" in data:
         operators = []
         try:

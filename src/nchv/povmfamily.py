@@ -386,15 +386,14 @@ def rationalize_po(target, delta: float, max_denominator: int = DEFAULT_DENOMINA
         raise ValidationError("delta must be positive")
     if not is_hermitian(mat, tol=1e-9):
         raise ValidationError("target must be Hermitian within 1e-9")
-    eigs = np.linalg.eigvalsh((mat + dagger(mat)) / 2)
-    if eigs.min() < -1e-8:
+    w, v = np.linalg.eigh((mat + dagger(mat)) / 2)
+    if w.min() < -1e-8:
         raise ValidationError("target must be positive within tolerance")
 
     exact = RationalOperator.from_float(mat, max_denominator)
     if np.array_equal(exact.to_complex(), mat) and is_admissible(exact):
         return exact
 
-    w, v = np.linalg.eigh((mat + dagger(mat)) / 2)
     w = np.clip(w, 0.0, None)
     factor = (np.sqrt(w)[:, None]) * dagger(v)
     # rounding moves X by |E| <= n 2**-b / sqrt(2) and X*X by at most

@@ -444,8 +444,9 @@ def simulate_trial(request: MeasurementRequest, context: SimulationContext,
     density = context.density
     if request.kind == "pvm":
         realization = realize_pvm(request, context.family, rng_apparatus)
-        valuation = TruthValuation(density, rng_system)
-        atom = valuation.populate(realization.block)
+        # the draw TruthValuation.populate makes, on the density the context checked
+        w = _atom_weights(density, realization.member.basis.mat[None])[0]
+        atom = int(draw_indices(w, rng_system, 1)[0])
         label_index = realization.target_to_atom.index(atom)
         label = request.observable.eigenvalues[label_index]
         return MeasurementOutcome(label, realization.member_index, realization.distance, trial_id)

@@ -17,8 +17,8 @@ from helpers import (
     reference_dedup,
     reference_discover_resolutions,
 )
-from nchv.basisfamily import generate_family
-from nchv.errors import SearchCapError, ValidationError
+from nchv.basisfamily import generate_family, haar_basis
+from nchv.errors import DimensionMismatchError, SearchCapError, ValidationError
 from nchv.kscheck import (
     ValuationProblem,
     _dedup,
@@ -257,6 +257,92 @@ class TestReferenceEquivalence:
         assert res.exhausted and len(res.solutions) == 3072
 
 
+def _mixed_rank_universe(n, rng):
+    """Shuffled projections from one to three bases that share the columns of a
+    common unitary outside a rotated subset. Each basis is cut into groups
+    that become projections of rank 1 or more, some groups also appear as
+    their rank-1 atoms, zero projections are added, and about 30% of the
+    elements are moved by a random Hermitian of norm 1e-11.
+
+    Returns the operators and how many of them were moved.
+    """
+    base = haar_basis(n, rng).mat
+    ops = []
+    for _ in range(rng.integers(1, 4)):
+        q = base.copy()
+        moved = rng.permutation(n)[:rng.integers(2, n + 1)]
+        q[:, moved] = q[:, moved] @ haar_basis(len(moved), rng).mat
+        cuts = np.flatnonzero(rng.random(n - 1) < 0.5) + 1
+        for group in np.split(rng.permutation(n), cuts):
+            ops.append(q[:, group] @ q[:, group].conj().T)
+            if len(group) > 1 and rng.random() < 0.4:
+                ops += [np.outer(q[:, i], q[:, i].conj()) for i in group]
+    ops += [np.zeros((n, n), dtype=complex)] * int(rng.integers(0, 3))
+    noisy = np.flatnonzero(rng.random(len(ops)) < 0.3)
+    for i in noisy:
+        ops[i] = _perturbed([ops[i]], 1e-11, rng)[0]
+    return [ops[i] for i in rng.permutation(len(ops))], len(noisy)
+
+
+def _split_bases(count, seed):
+    """``count`` random dimension-4 bases, each as the rank-2 projection onto
+    its first two vectors followed by its four rank-1 atoms."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    for _ in range(count):
+        q = haar_basis(4, rng).mat
+        ops.append(q[:, :2] @ q[:, :2].conj().T)
+        ops += [np.outer(q[:, i], q[:, i].conj()) for i in range(4)]
+    return ops
+
+
+class TestMixedRanks:
+    """The clique search against the depth-first scan on universes of mixed rank."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_seeded_universes_match_the_depth_first_scan(self, n):
+        rng = np.random.default_rng(1000 + n)
+        seen = {"rank 0": 0, "rank >= 2": 0, "moved": 0, "found": 0}
+        for _ in range(60):
+            ops, moved = _mixed_rank_universe(n, rng)
+            ranks = check_projections(np.array(ops))
+            expected = reference_discover_resolutions(ops, ranks)
+            assert discover_resolutions(ops) == expected
+            assert discover_resolutions(ops, ranks) == expected
+            seen["rank 0"] += 0 in ranks
+            seen["rank >= 2"] += max(ranks) >= 2
+            seen["moved"] += moved > 0
+            seen["found"] += bool(expected)
+        assert all(count >= 10 for count in seen.values()), seen
+
+    def test_zero_elements_join_only_before_the_rank_is_full(self):
+        e = atoms_of(np.eye(2))
+        ops = [e[0], np.zeros((2, 2)), e[1], np.zeros((2, 2))]
+        assert check_projections(np.array(ops)) == [1, 0, 1, 0]
+        expected = reference_discover_resolutions(ops, [1, 0, 1, 0])
+        assert discover_resolutions(ops) == expected == [(0, 1, 2), (0, 2)]
+
+    def test_700_operators_within_the_default_budget(self):
+        ops = _split_bases(140, seed=5)
+        expected = [r for k in range(0, 700, 5) for r in ((k, k + 3, k + 4), (k + 1, k + 2, k + 3, k + 4))]
+        assert discover_resolutions(ops) == expected
+        # the depth-first scan runs out of nodes on the same universe
+        with pytest.raises(SearchCapError):
+            reference_discover_resolutions(ops, check_projections(np.array(ops)))
+
+    @pytest.mark.parametrize("operators", [[np.eye(2), np.eye(3)], [np.ones((2, 3))], np.eye(2)],
+                             ids=["mixed-dimensions", "not-square", "one-matrix"])
+    def test_rejects_operators_that_do_not_stack(self, operators):
+        with pytest.raises(DimensionMismatchError):
+            discover_resolutions(operators)
+
+    def test_budget_enforced_on_mixed_ranks(self):
+        ops = _split_bases(12, seed=6)
+        assert len(discover_resolutions(ops)) == 24
+        with pytest.raises(SearchCapError):
+            discover_resolutions(ops, node_budget=40)
+
+
 class TestDiscoveryScale:
     """Sizes past the old scan's node budget; no wall-clock asserts."""
 
@@ -424,6 +510,14 @@ class TestFixture:
         prob = load_fixture(path)
         assert prob.size == 2
         assert len(find_truth_functions(prob).solutions) == 2
+
+    @pytest.mark.parametrize("payload", ['{"dim": "two", "vectors": []}', '{"vectors": []}', '[2]'],
+                             ids=["dim-not-integer", "dim-missing", "not-an-object"])
+    def test_unreadable_fixture_rejected(self, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(payload)
+        with pytest.raises(ValidationError):
+            load_fixture(path)
 
     def test_unknown_layout_rejected(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -252,6 +252,18 @@ class TestRationalizePo:
         assert is_admissible(out)
         assert operator_norm(out.to_complex() - p) < 1e-6
 
+    @pytest.mark.parametrize("target", [np.array([[0.75, 0.125], [0.125, 0.25]]),
+                                        np.diag([0.5, 0.5]), np.full((3, 3), 0.3) + 0.1 * np.eye(3)],
+                             ids=["exact", "bumped", "rounded"])
+    def test_one_eigendecomposition(self, target, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda a, *args, real=real, **kw: calls.append(1) or real(a, *args, **kw))
+        rationalize_po(target, delta=1e-3)
+        assert len(calls) == 1
+
     def test_non_positive_target_rejected(self):
         with pytest.raises(ValidationError):
             rationalize_po(np.diag([1.0, -0.2]), delta=1e-3)

@@ -429,6 +429,32 @@ class TestSingleTrial:
         assert min(abs(out.label - v) for v in (2.0, 4.0, 8.0)) < 1e-9
         assert out.realized_distance < 1e-9
 
+    def test_pvm_trials_leave_the_checked_density_alone(self, family10, monkeypatch):
+        checked = []
+        for module in (pba, simulator):
+            real = module.check_density
+            monkeypatch.setattr(module, "check_density",
+                                lambda d, real=real: checked.append(1) or real(d))
+        ctx = SimulationContext(np.eye(3) / 3, family=family10)
+        req = MeasurementRequest.pvm(observable_on_member(family10, 4, [1.0, 2.0, 3.0]), 1.999)
+        rng_app, rng_sys = np.random.default_rng(5), np.random.default_rng(6)
+        assert len(checked) == 1  # the context's own check
+        outs = [simulate_trial(req, ctx, rng_app, rng_sys, i) for i in range(50)]
+        assert len(checked) == 1
+        assert {o.label for o in outs} <= set(req.observable.eigenvalues)
+
+    def test_pvm_outcome_is_the_valuation_draw(self, family10):
+        """The label is the one a fresh TruthValuation on the realized block reads."""
+        ctx = SimulationContext(np.eye(3) / 3 + np.diag([0.1, 0.0, -0.1]), family=family10)
+        req = MeasurementRequest.pvm(observable_on_member(family10, 2, [1.0, 2.0, 3.0]), 1.999)
+        for seed in range(20):
+            out = simulate_trial(req, ctx, np.random.default_rng(seed),
+                                 np.random.default_rng(100 + seed))
+            real = realize_pvm(req, family10, np.random.default_rng(seed))
+            atom = TruthValuation(ctx.density, np.random.default_rng(100 + seed)).populate(real.block)
+            assert out.label == req.observable.eigenvalues[real.target_to_atom.index(atom)]
+            assert out.realized_id == real.member_index
+
     def test_povm_outcome_is_an_index(self):
         rng = np.random.default_rng(27)
         targets = random_resolution(2, 3, rng)
