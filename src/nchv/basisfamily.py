@@ -23,7 +23,6 @@ from .opcore import (
     basis_distance,
     basis_from_json,
     basis_to_json,
-    incompatibility_stack,
     min_commutator_norm,
     read_json,
     require_same_dim,
@@ -126,8 +125,11 @@ class BasisFamily:
                 )
                 for entry in obj["members"]
             )
+            n = int(obj["n"])
+            if any(m.basis.dim != n for m in members):
+                raise ValueError(f"a member basis has a dimension other than n = {n}")
             return cls(
-                dim=int(obj["n"]),
+                dim=n,
                 net_bound=float(obj["net_bound"]),
                 floor=float(obj["floor"]),
                 seed=int(obj["seed"]),
@@ -180,7 +182,7 @@ def min_cross_commutator_norm(first: OrthonormalBasis, second: OrthonormalBasis)
     require_same_dim(first.mat, second.mat)
     if first.dim < 2:
         raise ValidationError("total incompatibility needs dimension >= 2")
-    return min_commutator_norm(incompatibility_stack(first), [incompatibility_stack(second)])
+    return min_commutator_norm(first.mat, second.mat[None])
 
 
 def totally_incompatible(first: OrthonormalBasis, second: OrthonormalBasis, floor: float = DEFAULT_FLOOR) -> bool:
@@ -200,7 +202,6 @@ def repair_member(
     seed: int | None = None,
     attempts_per_radius: int = ATTEMPTS_PER_RADIUS,
     radius_levels: int = RADIUS_LEVELS,
-    _predecessor_stacks=None,
 ) -> FamilyMember:
     """Return a member totally incompatible with all ``predecessors``.
 
@@ -215,8 +216,8 @@ def repair_member(
     preds = list(predecessors)
     if index is None:
         index = len(preds) + 1
-    stacks = _predecessor_stacks or [incompatibility_stack(p.basis) for p in preds]
-    if min_commutator_norm(incompatibility_stack(candidate), stacks, floor) > floor:
+    stack = np.array([p.basis.mat for p in preds])
+    if min_commutator_norm(candidate.mat, stack, floor) > floor:
         return FamilyMember(index, candidate, Provenance(seed, 0, 0.0))
     if rng is None:
         raise ValidationError("candidate needs repair but no rng was supplied")
@@ -226,7 +227,7 @@ def repair_member(
         for _ in range(attempts_per_radius):
             attempts += 1
             moved = random_nearby_basis(candidate, radius, rng)
-            if min_commutator_norm(incompatibility_stack(moved), stacks, floor) > floor:
+            if min_commutator_norm(moved.mat, stack, floor) > floor:
                 dist = basis_distance(candidate, moved)
                 return FamilyMember(index, moved, Provenance(seed, attempts, dist))
         radius /= 2
@@ -253,15 +254,10 @@ def generate_family(n: int, count: int, seed: int, net_bound: float = DEFAULT_NE
         raise ValidationError("net_bound and floor must be positive")
     rng = np.random.default_rng(seed)
     members: list[FamilyMember] = []
-    stacks: list[np.ndarray] = []
     for m in range(1, count + 1):
         raw = haar_basis(n, rng)
         budget = max(min(net_bound, 2.0 ** (-m)), math.ulp(0.0))
-        member = repair_member(
-            raw, members, budget, floor, rng, index=m, seed=seed, _predecessor_stacks=stacks
-        )
-        members.append(member)
-        stacks.append(incompatibility_stack(member.basis))
+        members.append(repair_member(raw, members, budget, floor, rng, index=m, seed=seed))
     return BasisFamily(
         dim=n, net_bound=float(net_bound), floor=float(floor), seed=int(seed), members=tuple(members)
     )

@@ -426,6 +426,8 @@ def load_fixture(path) -> ValuationProblem:
             vec = vec / norm
             operators.append(np.outer(vec, vec.conj()))
     elif "operators" in data:
+        if not isinstance(data["operators"], list):
+            raise ValidationError("fixture operators are not a list")
         operators = [operator_from_json(entry) for entry in data["operators"]]
     else:
         raise ValidationError("fixture needs a vectors or operators key")

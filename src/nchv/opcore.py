@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ STRUCT_TOL = 1e-12
 ALGEBRA_TOL = 1e-10
 SPECTRAL_TOL = 1e-9
 EIGEN_MERGE_TOL = 1e-8
-SCAN_CHUNK = 4096  # commutators per batched call in min_commutator_norm
+SCAN_CHUNK = 4096  # commutator norms per batched call in min_commutator_norm
 
 __all__ = [
     "STRUCT_TOL",
@@ -36,7 +38,7 @@ __all__ = [
     "operator_norm",
     "spectral_norms",
     "commutator",
-    "pairwise_commutator_norms",
+    "commutator_norms",
     "min_commutator_norm",
     "is_hermitian",
     "check_projection",
@@ -50,8 +52,6 @@ __all__ = [
     "atom_projections",
     "nontrivial_masks",
     "subset_projection",
-    "subset_projections",
-    "incompatibility_stack",
     "HermitianObservable",
     "operator_to_json",
     "operator_from_json",
@@ -98,28 +98,54 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def pairwise_commutator_norms(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
-    """Spectral norm of [A, B] for every A in ``stack_a``, B in ``stack_b``.
+@lru_cache(maxsize=None)
+def _scan_sets(n: int):
+    """Indicator of the masks T = 1 ... 2**(n-1) - 1, rows i of the sets S = {i},
+    and per size k = 2 ... n // 2 the sets S and their complements; at
+    k = n / 2, only the S without index n - 1."""
+    sel = (np.arange(1, 1 << (n - 1))[:, None] >> np.arange(n)) & 1
+    blocks = []
+    for k in range(2, n // 2 + 1):
+        rows = list(combinations(range(n - (2 * k == n)), k))
+        rest = [[i for i in range(n) if i not in s] for s in rows]
+        blocks.append((np.array(rows), np.array(rest)))
+    return sel.astype(float), np.arange(n - (n == 2)), tuple(blocks)
 
-    Returns an array of shape (len(stack_a), len(stack_b)).
+
+def commutator_norms(first: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """|[P_S, Q_T]| for the subset projections of an (n, n) basis and of each of an (m, n, n) stack.
+
+    One row per basis in ``others``, one norm per complementary pair of
+    masks on each side, since [I - P, Q] = -[P, Q]. In the coordinates of
+    ``first``, P_S = diag(1_S) and Q_T = W diag(1_T) W* with W = first* others,
+    and |[P, Q]| = |PQ(I - P)| for projections (Halmos, "Two subspaces",
+    1969): the norm of the |S| x (n - |S|) block W[S, :] diag(1_T) W[S^c, :]*,
+    with |S| <= n / 2. For S = {i} that is sqrt(p p'), p and p' the sums of
+    |W_it|^2 over t in T and outside it: no SVD and no cancellation.
     """
-    ab = np.einsum("aij,bjk->abik", stack_a, stack_b)
-    ba = np.einsum("bij,ajk->abik", stack_b, stack_a)
-    return spectral_norms(ab - ba)
+    sel, singles, blocks = _scan_sets(first.shape[0])
+    w = first.conj().T @ others
+    sq = np.abs(w[:, singles]) ** 2
+    parts = [np.sqrt((sq @ sel.T) * (sq @ (1.0 - sel).T)).reshape(len(w), -1)]
+    for rows, rest in blocks:
+        # (m, sets, 1, k, n) * (T, 1, n), then @ (m, sets, 1, n, n - k)
+        left = w[:, rows][:, :, None] * sel[:, None, :]
+        right = w[:, rest].conj().swapaxes(-1, -2)[:, :, None]
+        parts.append(spectral_norms(left @ right).reshape(len(w), -1))
+    return np.concatenate(parts, axis=1)
 
 
-def min_commutator_norm(stack: np.ndarray, others, stop_at: float = -np.inf) -> float:
-    """Smallest |[P, Q]| for P in ``stack`` and Q in any stack of the sequence ``others``.
+def min_commutator_norm(first: np.ndarray, others: np.ndarray, stop_at: float = -np.inf) -> float:
+    """Smallest ``commutator_norms`` entry of ``first`` against the (m, n, n) stack ``others``.
 
-    Each batched pairwise_commutator_norms call takes as many others as fit in
-    SCAN_CHUNK commutators (at least one), so temporaries stay small whatever
-    the family size; the scan stops after the first chunk at or below ``stop_at``.
+    Each batched call takes as many bases as fit in SCAN_CHUNK norms (at
+    least one), so temporaries stay small whatever the family size; the
+    scan stops after the first chunk at or below ``stop_at``.
     """
-    step = max(1, SCAN_CHUNK // len(stack) ** 2)
+    step = max(1, SCAN_CHUNK // max(1, (2 ** (first.shape[0] - 1) - 1) ** 2))
     best = np.inf
     for lo in range(0, len(others), step):
-        chunk = np.concatenate(others[lo:lo + step])
-        best = min(best, float(pairwise_commutator_norms(stack, chunk).min()))
+        best = min(best, float(commutator_norms(first, others[lo:lo + step]).min(initial=np.inf)))
         if best <= stop_at:
             break
     return best
@@ -297,25 +323,8 @@ def subset_projection(basis: OrthonormalBasis, mask: int) -> np.ndarray:
     """Projection onto the span of the basis vectors selected by ``mask``."""
     if not 0 <= mask < (1 << basis.dim):
         raise ValidationError(f"mask {mask} out of range for dimension {basis.dim}")
-    return subset_projections(basis, [mask])[0]
-
-
-def subset_projections(basis: OrthonormalBasis, masks) -> np.ndarray:
-    """Stack of subset projections for the given bitmasks, shape (len(masks), n, n)."""
-    n = basis.dim
-    atoms = atom_projections(basis)
-    sel = np.array([[(m >> i) & 1 for i in range(n)] for m in masks], dtype=float)
-    return np.tensordot(sel, atoms, axes=1)
-
-
-def incompatibility_stack(basis: OrthonormalBasis) -> np.ndarray:
-    """Subset projections of ``basis`` for the masks 1 ... 2**(n-1)-1.
-
-    These hold one of each complementary pair of nonempty proper subsets.
-    Since [1 - P, Q] = -[P, Q], a scan over them on both sides meets every
-    commutator norm of the nontrivial masks with a quarter of the pairs.
-    """
-    return subset_projections(basis, range(1, 1 << (basis.dim - 1)))
+    sel = (mask >> np.arange(basis.dim)) & 1
+    return np.tensordot(sel.astype(float), atom_projections(basis), axes=1)
 
 
 @dataclass(frozen=True)
@@ -363,14 +372,13 @@ def operator_to_json(op) -> dict:
 def operator_from_json(obj) -> np.ndarray:
     try:
         n = int(obj["dim"])
-        re = obj["re"]
-        im = obj["im"]
-    except (KeyError, TypeError) as exc:
+        re = np.array(obj["re"], dtype=float)
+        im = np.array(obj["im"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed operator object: {exc}") from exc
-    if n < 1 or len(re) != n * n or len(im) != n * n:
+    if n < 1 or re.shape != (n * n,) or im.shape != (n * n,):
         raise ValidationError("operator entry lists do not match dim*dim")
-    mat = np.array(re, dtype=float).reshape(n, n) + 1j * np.array(im, dtype=float).reshape(n, n)
-    return mat
+    return re.reshape(n, n) + 1j * im.reshape(n, n)
 
 
 def basis_to_json(basis: OrthonormalBasis) -> dict:

@@ -5,7 +5,8 @@ its vectors, keyed by bitmask. Distinct blocks of a totally incompatible
 family share only the zero and identity operators, so a global valuation
 factorizes: pick one atom per block, independently, with Born weights.
 The verification helpers here deliberately recheck what the construction
-guarantees, so they accept arbitrary assignments as well.
+guarantees, so they accept arbitrary assignments as well; the block laws
+come down to one point-evaluation check.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from .basisfamily import BasisFamily, FamilyMember
 from .errors import ValidationError
 from .opcore import (
     check_density,
+    commutator_norms,
     draw_indices,
-    incompatibility_stack,
     min_commutator_norm,
     nontrivial_masks,
     normalized_weights,
-    pairwise_commutator_norms,
     subset_projection,
 )
 
@@ -208,28 +208,22 @@ def atom_partitions(n: int) -> tuple[tuple[int, ...], ...]:
 def verify_block_assignment(values, n: int) -> bool:
     """Check an arbitrary {0,1} assignment over all 2**n masks of one block.
 
-    Required: every partition of the atoms gets total value exactly 1,
-    complements map to 1 - value, and products (mask intersections)
-    multiply. Assignments induced by a single chosen atom always pass.
+    The laws: every partition of the atoms sums to exactly 1, complements
+    map to 1 - value and products (mask intersections) multiply. They hold
+    exactly for a point evaluation, values[m] = (m >> a) & 1 for one atom a,
+    which is what this checks. Proof: a point evaluation obeys all three.
+    Conversely, the singleton partition forces a unique atom a with value 1;
+    for m holding a, products give values[m] = values[m] * values[1 << a] =
+    values[1 << a] = 1, and complements force every other mask to 0.
     """
     size = 1 << n
     if len(values) != size:
         raise ValidationError(f"assignment must cover all {size} masks")
-    if any(v not in (0, 1) for v in values):
+    atoms = [a for a in range(n) if values[1 << a] == 1]
+    if len(atoms) != 1:
         return False
-    full = size - 1
-    for a in range(size):
-        if values[full ^ a] != 1 - values[a]:
-            return False
-    for parts in atom_partitions(n):
-        if sum(values[mask] for mask in parts) != 1:
-            return False
-    for a in range(size):
-        va = values[a]
-        for b in range(a, size):
-            if values[a & b] != va * values[b]:
-                return False
-    return True
+    a = atoms[0]
+    return all(v == (m >> a) & 1 for m, v in enumerate(values))
 
 
 def verify_homomorphism(valuation: TruthValuation, block: ProjectionBlock) -> bool:
@@ -285,11 +279,11 @@ def verify_fullness(pba: PartialBooleanAlgebra) -> FullnessReport:
 def block_structure_extremes(pba: PartialBooleanAlgebra):
     """(max within-block, min cross-block) commutator norm over nontrivial pairs.
 
-    The first should sit at roundoff level and the second clearly above the
+    Both are ``commutator_norms``, a block against itself for the first. The
+    first should sit at roundoff level and the second clearly above the
     family floor: compatibility happens inside blocks and nowhere else.
     """
-    stacks = [incompatibility_stack(b.member.basis) for b in pba.blocks]
-    upper = np.triu_indices(len(stacks[0]), k=1)
-    max_within = max(pairwise_commutator_norms(s, s)[upper].max(initial=0.0) for s in stacks)
-    min_cross = min(min_commutator_norm(s, stacks[i + 1:]) for i, s in enumerate(stacks))
-    return float(max_within), float(min_cross)
+    bases = np.array([b.member.basis.mat for b in pba.blocks])
+    max_within = max(float(commutator_norms(a, a[None]).max(initial=0.0)) for a in bases)
+    min_cross = min(min_commutator_norm(a, bases[i + 1:]) for i, a in enumerate(bases))
+    return max_within, min_cross

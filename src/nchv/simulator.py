@@ -459,10 +459,9 @@ def simulate_trial(request: MeasurementRequest, context: SimulationContext,
 def noncontextuality_audit(valuation: TruthValuation, block: ProjectionBlock) -> int:
     """1 when the block's values break a homomorphism law, else 0.
 
-    ``verify_homomorphism`` reads every element of the block and checks that
-    every atom partition sums to 1, that complements flip and that products
-    multiply. The chosen atom representation makes a violation impossible;
-    the audit rechecks anyway.
+    ``verify_homomorphism`` reads every element of the block and checks the
+    partition, complement and product laws as one point-evaluation check.
+    The chosen atom makes a violation impossible; the audit rechecks anyway.
     """
     return int(not verify_homomorphism(valuation, block))
 

@@ -70,6 +70,36 @@ def reference_grouped_outcomes(cand_ids, dists, rng):
     return out
 
 
+def reference_block_assignment(values, n):
+    """Law-by-law check the point-evaluation check must agree with.
+
+    Every partition of the atoms gets total value exactly 1, complements map
+    to 1 - value, and products (mask intersections) multiply; a value
+    outside {0, 1} fails.
+    """
+    from nchv.errors import ValidationError
+    from nchv.pba import atom_partitions
+
+    size = 1 << n
+    if len(values) != size:
+        raise ValidationError(f"assignment must cover all {size} masks")
+    if any(v not in (0, 1) for v in values):
+        return False
+    full = size - 1
+    for a in range(size):
+        if values[full ^ a] != 1 - values[a]:
+            return False
+    for parts in atom_partitions(n):
+        if sum(values[mask] for mask in parts) != 1:
+            return False
+    for a in range(size):
+        va = values[a]
+        for b in range(a, size):
+            if values[a & b] != va * values[b]:
+                return False
+    return True
+
+
 def reference_minor(rows, idx):
     """Leibniz determinant of the principal submatrix of ``rows`` on ``idx``.
 

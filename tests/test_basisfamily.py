@@ -66,16 +66,34 @@ def test_a_basis_is_never_incompatible_with_itself():
     assert not totally_incompatible(STD2, STD2)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_min_cross_norm_matches_brute_force_over_all_masks(n):
-    rng = np.random.default_rng(100 + n)
-    first, second = haar_basis(n, rng), haar_basis(n, rng)
-    brute = min(
+def brute_min_cross_norm(first, second):
+    """One commutator SVD for every pair of nontrivial masks."""
+    n = first.dim
+    return min(
         np.linalg.norm(p @ q - q @ p, 2)
         for p in (subset_projection(first, a) for a in nontrivial_masks(n))
         for q in (subset_projection(second, b) for b in nontrivial_masks(n))
     )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_min_cross_norm_matches_brute_force_over_all_masks(n):
+    rng = np.random.default_rng(100 + n)
+    first, second = haar_basis(n, rng), haar_basis(n, rng)
+    brute = brute_min_cross_norm(first, second)
     assert min_cross_commutator_norm(first, second) == pytest.approx(brute, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("radius", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_min_cross_norm_of_near_compatible_pairs(n, radius):
+    """Near a commuting pair the norms are tiny, so they agree in absolute terms."""
+    rng = np.random.default_rng(200 + n)
+    first = haar_basis(n, rng)
+    second = random_nearby_basis(first, radius, rng)
+    brute = brute_min_cross_norm(first, second)
+    assert brute < 2 * radius
+    assert min_cross_commutator_norm(first, second) == pytest.approx(brute, abs=1e-14)
 
 
 def test_incompatibility_needs_dimension_two():

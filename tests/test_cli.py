@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from helpers import random_resolution, saved_layout_registry
-from nchv.basisfamily import BasisFamily
+from nchv.basisfamily import BasisFamily, min_cross_commutator_norm
 from nchv.cli import main
-from nchv.opcore import operator_to_json
+from nchv.opcore import OrthonormalBasis, basis_to_json, operator_to_json
 
 FIXTURE = "src/nchv/fixtures/ks18_dim4.json"
 
@@ -50,7 +50,11 @@ class TestFamilyGen:
         code = run_cli("family", "gen", "--n", 2, "--count", 3,
                        "--seed", 8, "--out", out, "--check")
         assert code == 0
-        assert "commutator floor" in capsys.readouterr().out
+        printed = capsys.readouterr().out.split("commutator floor ")[1].strip()
+        bases = [m.basis for m in BasisFamily.load(out).members]
+        floor = min(min_cross_commutator_norm(a, b)
+                    for i, a in enumerate(bases) for b in bases[i + 1:])
+        assert printed == f"{floor:.3e}"
 
 
 class TestSimulatePvm:
@@ -185,6 +189,27 @@ def nearly_orthonormal_family():
                          "provenance": {"seed": 0, "replacements": 0, "distance_moved": 0.0}}]}
 
 
+def mixed_dimension_family():
+    """A three-member n = 2 family whose second member is a dimension-3 basis."""
+    family = nearly_orthonormal_family()
+    member = family["members"][0]
+    family["members"] = [
+        dict(member, index=i, basis=basis_to_json(OrthonormalBasis(np.eye(dim))))
+        for i, dim in ((1, 2), (2, 3), (3, 2))
+    ]
+    return family
+
+
+def operator_fixture(entry):
+    return json.dumps({"dim": 2, "operators": [entry]})
+
+
+BAD_RE = {"dim": 2, "re": [1, 0, 0, "x"], "im": [0, 0, 0, 0]}
+SCALAR_RE = {"dim": 2, "re": 7, "im": [0, 0, 0, 0]}
+SIMULATE_PVM_AT = ("simulate", "pvm", "--family", "{dir}/bad.json", "--state", "{dir}/state.json",
+                   "--target", "{dir}/target.json", "--eps", 0.5, "--trials", 10)
+
+
 @pytest.mark.parametrize("argv, payload", [
     (("kscheck", "--fixture", "{dir}/bad.json"), '{"dim": 3, "vectors": ['),
     (("kscheck", "--fixture", "{dir}/missing.json"), None),
@@ -206,13 +231,21 @@ def nearly_orthonormal_family():
     (("kscheck", "--fixture", "{dir}/bad.json"), json.dumps({"dim": 2, "vectors": [[1, "x"], [0, 1]]})),
     (("kscheck", "--fixture", "{dir}/bad.json"), json.dumps({"dim": 2, "vectors": [[1, [1]], [0, 1]]})),
     (("kscheck", "--fixture", "{dir}/bad.json"), json.dumps({"dim": 2, "vectors": 5})),
-    (("simulate", "pvm", "--family", "{dir}/bad.json", "--state", "{dir}/state.json",
-      "--target", "{dir}/target.json", "--eps", 0.5, "--trials", 10),
-     json.dumps(nearly_orthonormal_family())),
+    (SIMULATE_PVM_AT, json.dumps(nearly_orthonormal_family())),
+    (SIMULATE_PVM_AT, json.dumps(mixed_dimension_family())),
+    (("kscheck", "--fixture", "{dir}/bad.json"), operator_fixture(BAD_RE)),
+    (("kscheck", "--fixture", "{dir}/bad.json"), operator_fixture(SCALAR_RE)),
+    (("kscheck", "--fixture", "{dir}/bad.json"), json.dumps({"dim": 2, "operators": 5})),
+    (("povm", "snap", "--targets", "{dir}/bad.json", "--eps", 0.01, "--out", "{dir}/x.json"),
+     json.dumps({"members": [BAD_RE]})),
+    (("simulate", "pvm", "--family", "{dir}/missing.json", "--state", "{dir}/bad.json",
+      "--target", "{dir}/target.json", "--eps", 0.5, "--trials", 10), json.dumps(BAD_RE)),
 ], ids=["malformed-json", "missing-file", "targets-without-members", "missing-family",
         "malformed-registry", "repeated-registry-index", "resolution-index-past-end",
         "resolution-index-not-integer", "resolution-index-negative", "vector-entry-not-a-number",
-        "vector-entry-short-pair", "vectors-not-a-list", "basis-orthonormal-only-entrywise"])
+        "vector-entry-short-pair", "vectors-not-a-list", "basis-orthonormal-only-entrywise",
+        "family-mixed-dimensions", "operator-entry-not-a-number", "operator-entries-not-a-list",
+        "operators-not-a-list", "target-entry-not-a-number", "state-entry-not-a-number"])
 def test_unreadable_input_exits_four(tmp_path, capsys, argv, payload):
     if payload is not None:
         (tmp_path / "bad.json").write_text(payload)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_density, random_hermitian
+from nchv.basisfamily import random_nearby_basis
 from nchv.errors import DimensionMismatchError, ValidationError
 from nchv import opcore
 from nchv.opcore import (
@@ -22,16 +23,15 @@ from nchv.opcore import (
     check_projection,
     check_projections,
     commutator,
-    incompatibility_stack,
+    commutator_norms,
     min_commutator_norm,
     nontrivial_masks,
     operator_from_json,
     operator_norm,
     operator_to_json,
-    pairwise_commutator_norms,
     read_json,
     spectral_resolution,
-    subset_projections,
+    subset_projection,
     validate_resolution,
     write_json,
 )
@@ -55,17 +55,6 @@ class TestOperatorNorm:
         p = np.diag([1.0, 0.0])
         plus = np.full((2, 2), 0.5)
         assert operator_norm(commutator(p, plus)) == pytest.approx(0.5, abs=1e-12)
-
-    def test_pairwise_matches_loop(self):
-        rng = seeded(5)
-        a = np.stack([random_hermitian(3, rng) for _ in range(4)])
-        b = np.stack([random_hermitian(3, rng) for _ in range(5)])
-        table = pairwise_commutator_norms(a, b)
-        for i in range(4):
-            for j in range(5):
-                assert table[i, j] == pytest.approx(
-                    operator_norm(commutator(a[i], b[j])), abs=1e-12
-                )
 
 
 class TestProjectionAndDensity:
@@ -114,7 +103,7 @@ NEITHER = np.array([[0.5, 1e-9], [0.0, 0.0]])
 class TestCheckProjections:
     def test_ranks_match_one_at_a_time(self, rng):
         basis = OrthonormalBasis(np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0])
-        stack = subset_projections(basis, range(16))
+        stack = np.array([subset_projection(basis, m) for m in range(16)])
         assert check_projections(stack) == [reference_check_projection(p) for p in stack]
         assert check_projections(stack) == [bin(m).count("1") for m in range(16)]
 
@@ -209,15 +198,13 @@ class TestSubsetProjections:
         z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         q, _ = np.linalg.qr(z)
         basis = OrthonormalBasis(q)
-        masks = nontrivial_masks(3)
-        stack = subset_projections(basis, masks)
-        for mask, proj in zip(masks, stack):
-            assert check_projection(proj) == bin(mask).count("1")
+        for mask in nontrivial_masks(3):
+            assert check_projection(subset_projection(basis, mask)) == bin(mask).count("1")
 
     def test_complement_masks_sum_to_identity(self):
         basis = OrthonormalBasis(np.eye(3))
-        stack = subset_projections(basis, [0b011, 0b100])
-        assert np.allclose(stack[0] + stack[1], np.eye(3), atol=STRUCT_TOL)
+        total = subset_projection(basis, 0b011) + subset_projection(basis, 0b100)
+        assert np.allclose(total, np.eye(3), atol=STRUCT_TOL)
 
 
 class TestSpectralResolution:
@@ -359,37 +346,56 @@ def random_basis(n, rng):
     return OrthonormalBasis(np.linalg.qr(z)[0])
 
 
-class TestIncompatibilityScan:
-    def test_stack_holds_one_of_each_complementary_pair(self):
-        basis = random_basis(4, seeded(31))
-        stack = incompatibility_stack(basis)
-        assert len(stack) == 7
-        assert np.array_equal(stack, subset_projections(basis, range(1, 8)))
+def loop_commutator_norms(first, second):
+    """One commutator SVD per pair, masks 1 ... 2**(n-1)-1 on both sides."""
+    halves = range(1, 1 << (first.dim - 1))
+    return [operator_norm(commutator(subset_projection(first, a), subset_projection(second, b)))
+            for a in halves for b in halves]
 
-    def test_chunked_min_over_many_stacks(self):
+
+class TestIncompatibilityScan:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("radius", [None, 1e-3, 1e-8])
+    def test_norms_match_one_svd_per_pair(self, n, radius):
+        """The same norms as the direct loop, one per complementary pair on each side."""
+        rng = seeded(30 + n)
+        first = random_basis(n, rng)
+        seconds = [random_basis(n, rng) if radius is None else random_nearby_basis(first, radius, rng)
+                   for _ in range(2)]
+        table = commutator_norms(first.mat, np.array([b.mat for b in seconds]))
+        assert table.shape == (2, (2 ** (n - 1) - 1) ** 2)
+        for row, second in zip(table, seconds):
+            loop = np.sort(loop_commutator_norms(first, second))
+            assert np.abs(np.sort(row) - loop).max() <= 1e-14
+
+    def test_a_basis_against_itself_commutes(self):
+        basis = random_basis(6, seeded(31))
+        assert commutator_norms(basis.mat, basis.mat[None]).max() <= 1e-14
+
+    def test_chunked_min_over_many_bases(self):
         rng = seeded(33)
-        stack = incompatibility_stack(random_basis(5, rng))
-        step = SCAN_CHUNK // len(stack) ** 2
-        others = [incompatibility_stack(random_basis(5, rng)) for _ in range(2 * step + 3)]
-        each = [pairwise_commutator_norms(stack, other).min() for other in others]
-        assert min_commutator_norm(stack, others) == pytest.approx(min(each), rel=1e-12)
+        first = random_basis(5, rng).mat
+        step = SCAN_CHUNK // (2 ** 4 - 1) ** 2
+        others = np.array([random_basis(5, rng).mat for _ in range(2 * step + 3)])
+        each = [commutator_norms(first, other[None]).min() for other in others]
+        assert min_commutator_norm(first, others) == min(each)
 
     def test_no_others_gives_inf(self):
-        stack = incompatibility_stack(random_basis(2, seeded(34)))
-        assert min_commutator_norm(stack, []) == np.inf
+        first = random_basis(2, seeded(34)).mat
+        assert min_commutator_norm(first, np.empty((0, 2, 2))) == np.inf
 
     def test_stops_after_the_first_chunk_at_or_below_the_threshold(self, monkeypatch):
         rng = seeded(35)
-        stack = incompatibility_stack(random_basis(5, rng))
-        step = SCAN_CHUNK // len(stack) ** 2
-        others = [stack] + [incompatibility_stack(random_basis(5, rng)) for _ in range(2 * step)]
+        first = random_basis(5, rng).mat
+        step = SCAN_CHUNK // (2 ** 4 - 1) ** 2
+        others = np.array([first] + [random_basis(5, rng).mat for _ in range(2 * step)])
         calls = []
-        real = opcore.pairwise_commutator_norms
+        real = opcore.commutator_norms
 
         def counted(a, b):
             calls.append(len(b))
             return real(a, b)
 
-        monkeypatch.setattr(opcore, "pairwise_commutator_norms", counted)
-        assert min_commutator_norm(stack, others, 1e-8) <= 1e-8
-        assert calls == [step * len(stack)]
+        monkeypatch.setattr(opcore, "commutator_norms", counted)
+        assert min_commutator_norm(first, others, 1e-8) <= 1e-8
+        assert calls == [step]

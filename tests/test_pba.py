@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_density
+from helpers import random_density, reference_block_assignment
 from nchv.errors import ValidationError, WeightNormalizationError
-from nchv.opcore import OrthonormalBasis, operator_norm, subset_projections
+from nchv.opcore import OrthonormalBasis, atom_projections, operator_norm
 from nchv import pba
 from nchv.povmfamily import _povm_weights
 from nchv.pba import (
@@ -36,18 +36,19 @@ def _std_block(n=3):
 class TestBuildBlock:
     def test_has_all_subset_elements(self, pba10):
         block = pba10.block(1)
-        direct = subset_projections(block.member.basis, range(8))
+        atoms = atom_projections(block.member.basis)
         for mask in range(8):
-            assert operator_norm(block.element(mask) - direct[mask]) < 1e-12
+            direct = sum((atoms[i] for i in range(3) if (mask >> i) & 1), np.zeros((3, 3)))
+            assert operator_norm(block.element(mask) - direct) < 1e-12
         assert operator_norm(block.element(0)) == 0.0
         assert operator_norm(block.element(7) - np.eye(3)) < 1e-10
 
     def test_elements_match_direct_subset_projections(self, pba10):
         block = pba10.block(3)
-        masks = list(range(1, 8))
-        direct = subset_projections(block.member.basis, masks)
-        for mask, proj in zip(masks, direct):
-            assert operator_norm(block.element(mask) - proj) < 1e-12
+        v = block.member.basis.mat
+        for mask in range(1, 8):
+            cols = v[:, [i for i in range(3) if (mask >> i) & 1]]
+            assert operator_norm(block.element(mask) - cols @ cols.conj().T) < 1e-12
 
     def test_unknown_mask_rejected(self, pba10):
         with pytest.raises(ValidationError):
@@ -174,18 +175,56 @@ class TestTruthValuation:
 
 
 class TestAssignmentLaws:
-    def test_exactly_three_valid_assignments_in_dimension_three(self):
-        """Brute force over all 2^8 mask assignments: only atom indicators pass."""
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_exactly_n_valid_assignments(self, n):
+        """Brute force over all 2^(2^n) mask assignments: only atom indicators
+        pass, and the verdict matches the law-by-law reference on each one."""
+        size = 1 << n
         valid = []
-        for code in range(256):
-            values = [(code >> m) & 1 for m in range(8)]
-            if verify_block_assignment(values, 3):
+        for code in range(1 << size):
+            values = [(code >> m) & 1 for m in range(size)]
+            verdict = verify_block_assignment(values, n)
+            assert verdict == reference_block_assignment(values, n), values
+            if verdict:
                 valid.append(tuple(values))
-        expected = set()
-        for atom in range(3):
-            expected.add(tuple((mask >> atom) & 1 for mask in range(8)))
+        expected = {tuple((mask >> atom) & 1 for mask in range(size)) for atom in range(n)}
         assert set(valid) == expected
-        assert len(valid) == 3
+        assert len(valid) == n
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_random_and_near_valid_assignments_match_the_reference(self, n):
+        rng = np.random.default_rng(40 + n)
+        size = 1 << n
+        cases = [list(rng.integers(0, 2, size)) for _ in range(3)]
+        for atom in range(n):
+            point = [(mask >> atom) & 1 for mask in range(size)]
+            cases.append(point)
+            for mask in rng.choice(size, 3, replace=False):
+                flipped = list(point)
+                flipped[mask] ^= 1
+                cases.append(flipped)
+        for values in cases:
+            assert verify_block_assignment(values, n) == reference_block_assignment(values, n)
+
+    def test_point_evaluation_at_twelve_atoms(self):
+        point = [(mask >> 7) & 1 for mask in range(1 << 12)]
+        assert verify_block_assignment(point, 12)
+        for mask in (0, 1 << 7, 0b101010101010, (1 << 12) - 1):
+            flipped = list(point)
+            flipped[mask] ^= 1
+            assert not verify_block_assignment(flipped, 12)
+
+    def test_values_outside_zero_one_fail(self):
+        point = [(mask >> 1) & 1 for mask in range(8)]
+        for mask, bad in ((0, 2), (2, 2), (5, -1)):
+            values = list(point)
+            values[mask] = bad
+            assert not verify_block_assignment(values, 3)
+            assert not reference_block_assignment(values, 3)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValidationError, match="all 8 masks"):
+            verify_block_assignment([0, 1, 0, 1], 3)
 
     def test_sampled_valuations_are_homomorphisms(self, pba10):
         rng = np.random.default_rng(11)
