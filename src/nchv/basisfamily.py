@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import permutations
 
 import numpy as np
 
@@ -91,12 +90,6 @@ class BasisFamily:
         stack = np.array([m.basis.mat for m in self.members])
         stack.setflags(write=False)
         return stack
-
-    def member(self, index: int) -> FamilyMember:
-        for m in self.members:
-            if m.index == index:
-                return m
-        raise ValidationError(f"no member with index {index}")
 
     def to_json(self) -> dict:
         return {
@@ -194,37 +187,33 @@ def totally_incompatible(first: OrthonormalBasis, second: OrthonormalBasis, floo
 
 def repair_member(
     candidate: OrthonormalBasis,
-    predecessors,
+    stack: np.ndarray,
     budget: float,
     floor: float = DEFAULT_FLOOR,
     rng: np.random.Generator | None = None,
     index: int | None = None,
     seed: int | None = None,
-    attempts_per_radius: int = ATTEMPTS_PER_RADIUS,
-    radius_levels: int = RADIUS_LEVELS,
 ) -> FamilyMember:
-    """Return a member totally incompatible with all ``predecessors``.
+    """Return a member totally incompatible with every basis of the (m, n, n) ``stack``.
 
     The candidate is kept unchanged when it already clears everything.
     Otherwise random nearby bases are tried at radii budget, budget/2, ...
-    (``radius_levels`` levels, ``attempts_per_radius`` draws each) until one
+    (RADIUS_LEVELS levels, ATTEMPTS_PER_RADIUS draws each) until one
     clears, so the returned basis is within ``budget`` of the candidate.
     Raises RepairExhaustedError when every attempt fails.
     """
     if budget <= 0:
         raise ValidationError("budget must be positive")
-    preds = list(predecessors)
     if index is None:
-        index = len(preds) + 1
-    stack = np.array([p.basis.mat for p in preds])
+        index = len(stack) + 1
     if min_commutator_norm(candidate.mat, stack, floor) > floor:
         return FamilyMember(index, candidate, Provenance(seed, 0, 0.0))
     if rng is None:
         raise ValidationError("candidate needs repair but no rng was supplied")
     attempts = 0
     radius = budget
-    for _ in range(radius_levels):
-        for _ in range(attempts_per_radius):
+    for _ in range(RADIUS_LEVELS):
+        for _ in range(ATTEMPTS_PER_RADIUS):
             attempts += 1
             moved = random_nearby_basis(candidate, radius, rng)
             if min_commutator_norm(moved.mat, stack, floor) > floor:
@@ -253,34 +242,29 @@ def generate_family(n: int, count: int, seed: int, net_bound: float = DEFAULT_NE
     if net_bound <= 0 or floor <= 0:
         raise ValidationError("net_bound and floor must be positive")
     rng = np.random.default_rng(seed)
+    stack = np.empty((count, n, n), dtype=complex)
     members: list[FamilyMember] = []
     for m in range(1, count + 1):
         raw = haar_basis(n, rng)
         budget = max(min(net_bound, 2.0 ** (-m)), math.ulp(0.0))
-        members.append(repair_member(raw, members, budget, floor, rng, index=m, seed=seed))
+        member = repair_member(raw, stack[:m - 1], budget, floor, rng, index=m, seed=seed)
+        stack[m - 1] = member.basis.mat
+        members.append(member)
     return BasisFamily(
         dim=n, net_bound=float(net_bound), floor=float(floor), seed=int(seed), members=tuple(members)
     )
 
 
-def nearest_member(family: BasisFamily, target: OrthonormalBasis, order_insensitive: bool = False):
+def nearest_member(family: BasisFamily, target: OrthonormalBasis):
     """Index and distance of the family member closest to ``target``.
 
-    The default metric respects vector order. With ``order_insensitive``
-    the distance is minimized over all column orderings of the target,
-    which is factorial in the dimension and therefore capped at n <= 6.
+    The metric is ``basis_distance``, which respects vector order.
     """
     if not family.members:
         raise ValidationError("family has no members")
-    n = family.dim
     require_same_dim(family.members[0].basis.mat, target.mat)
-    if order_insensitive and n > 6:
-        raise ValidationError("order-insensitive matching is capped at dimension 6")
-    bases_dagger = family.stack.conj().swapaxes(1, 2)
-    dists = np.full(len(family.members), np.inf)
-    for order in permutations(range(n)) if order_insensitive else [range(n)]:
-        # one stacked product per ordering: the same U as basis_distance, bit for bit
-        u = target.mat[:, list(order)] @ bases_dagger
-        dists = np.minimum(dists, spectral_norms(np.eye(n) - u))
+    # one stacked product: the same U as basis_distance, bit for bit
+    u = target.mat @ family.stack.conj().swapaxes(1, 2)
+    dists = spectral_norms(np.eye(family.dim) - u)
     best = int(np.argmin(dists))
     return family.members[best].index, float(dists[best])

@@ -75,10 +75,6 @@ class SearchResult:
     exhausted: bool
     nodes: int
 
-    @property
-    def satisfiable(self) -> bool:
-        return bool(self.solutions)
-
 
 def _dedup(stack, tol):
     """First-wins clustering of a (m, n, n) stack within spectral distance ``tol``.
@@ -118,12 +114,10 @@ def _universe_indices(res, size):
     return [int(i) for i in members]
 
 
-def build_problem(operators, resolutions=None, *, discover=False,
-                  dedup_tol=SPECTRAL_TOL,
-                  node_budget=DEFAULT_DISCOVERY_BUDGET) -> ValuationProblem:
+def build_problem(operators, resolutions=None, *, discover=False) -> ValuationProblem:
     """Validate, deduplicate, and assemble a problem.
 
-    Operators closer than ``dedup_tol`` collapse to one universe element and
+    Operators closer than SPECTRAL_TOL collapse to one universe element and
     resolution indices, integers into ``operators``, are remapped
     accordingly. With ``discover`` set, every subset of the universe
     resolving the identity is added as a resolution.
@@ -140,7 +134,7 @@ def build_problem(operators, resolutions=None, *, discover=False,
     if mixed < len(ops):
         raise ValidationError("universe operators have mixed dimensions")
 
-    first, index_map = _dedup(stack, dedup_tol)
+    first, index_map = _dedup(stack, SPECTRAL_TOL)
     reps = stack[first]
     rep_ranks = [ranks[i] for i in first]
 
@@ -170,15 +164,12 @@ def build_problem(operators, resolutions=None, *, discover=False,
     resolved = set(read)
 
     if discover:
-        resolved.update(
-            discover_resolutions(reps, rep_ranks, node_budget=node_budget)
-        )
+        resolved.update(discover_resolutions(reps, rep_ranks))
     reps.flags.writeable = False
     return ValuationProblem(tuple(reps), tuple(sorted(resolved)), dim)
 
 
-def discover_resolutions(operators, ranks=None, *,
-                         node_budget=DEFAULT_DISCOVERY_BUDGET):
+def discover_resolutions(operators, ranks=None):
     """Find every subset of the universe that sums to the identity.
 
     The answer is defined by a depth-first scan over increasing indices: a
@@ -211,7 +202,7 @@ def discover_resolutions(operators, ranks=None, *,
     the scan's own checks on the same prefix sums: no prefix remainder with
     an eigenvalue below -tol, and |I - S| <= tol. The output is therefore
     the scan's, tuple for tuple. Raises SearchCapError when more than
-    ``node_budget`` partial cliques are visited.
+    DEFAULT_DISCOVERY_BUDGET partial cliques are visited.
     """
     try:
         ops = np.asarray(operators, dtype=complex)
@@ -258,8 +249,8 @@ def discover_resolutions(operators, ranks=None, *,
         j = (cand & -cand).bit_length() - 1
         pending.append((chosen, left, cand & (cand - 1)))
         nodes += 1
-        if nodes > node_budget:
-            raise SearchCapError(f"resolution discovery exceeded {node_budget} nodes")
+        if nodes > DEFAULT_DISCOVERY_BUDGET:
+            raise SearchCapError(f"resolution discovery exceeded {DEFAULT_DISCOVERY_BUDGET} nodes")
         rest = left - ranks[j]
         if rest <= 0:
             if rest == 0:
@@ -282,15 +273,15 @@ def discover_resolutions(operators, ranks=None, *,
     return [c for c, ok in zip(cliques, keep) if ok]
 
 
-def find_truth_functions(problem: ValuationProblem, limit=None,
-                         node_budget=DEFAULT_SEARCH_BUDGET) -> SearchResult:
+def find_truth_functions(problem: ValuationProblem, limit=None) -> SearchResult:
     """Enumerate truth functions by backtracking with unit propagation.
 
     Setting an element to 1 zeroes the rest of its resolutions; a resolution
     down to one undecided element with no 1 yet forces that element. The
     search is deterministic: lowest undecided index first, 0 before 1.
     ``limit`` stops the enumeration once that many solutions are in hand;
-    a run cut short reports exhausted False.
+    a run cut short reports exhausted False. Raises SearchCapError past
+    DEFAULT_SEARCH_BUDGET decisions.
     """
     n = problem.size
     ctxs = [list(r) for r in problem.resolutions]
@@ -352,8 +343,9 @@ def find_truth_functions(problem: ValuationProblem, limit=None,
         undo(mark)
         if var is not None:
             nodes += 1
-            if nodes > node_budget:
-                raise SearchCapError(f"truth-function search exceeded {node_budget} nodes")
+            if nodes > DEFAULT_SEARCH_BUDGET:
+                raise SearchCapError(
+                    f"truth-function search exceeded {DEFAULT_SEARCH_BUDGET} nodes")
             if not assign(var, val):
                 continue
         var = next((i for i in range(n) if values[i] == -1), None)

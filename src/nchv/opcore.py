@@ -42,6 +42,7 @@ __all__ = [
     "min_commutator_norm",
     "is_hermitian",
     "check_projection",
+    "check_projections",
     "check_density",
     "normalized_weights",
     "draw_indices",
@@ -156,29 +157,32 @@ def is_hermitian(op, tol: float = STRUCT_TOL) -> bool:
     return bool(np.max(np.abs(mat - dagger(mat))) <= tol)
 
 
-def check_projection(op, idem_tol: float = ALGEBRA_TOL, herm_tol: float = STRUCT_TOL) -> int:
+def check_projection(op) -> int:
     """Validate Hermiticity and idempotence of a projection, returning its rank."""
-    return check_projections(as_operator(op)[None], idem_tol, herm_tol)[0]
+    return check_projections(as_operator(op)[None])[0]
 
 
-def check_projections(stack, idem_tol: float = ALGEBRA_TOL, herm_tol: float = STRUCT_TOL) -> list[int]:
+def check_projections(stack) -> list[int]:
     """Validate a (m, n, n) stack of projections in batched passes, returning their ranks.
 
-    The first failing matrix decides the error, its Hermitian check before
-    its idempotence check. Idempotence is measured only on the matrices
-    before the first non-Hermitian one, so the SVD never sees a NaN.
+    The first failing matrix decides the error, its Hermitian check (within
+    STRUCT_TOL) before its idempotence check (within ALGEBRA_TOL).
+    Idempotence is measured only on the matrices before the first
+    non-Hermitian one, so the SVD never sees a NaN.
     """
     stack = np.asarray(stack, dtype=complex)
-    herm_bad = ~(np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-1, -2)) <= herm_tol)
+    herm_bad = ~(np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-1, -2)) <= STRUCT_TOL)
     first_herm = int(np.argmax(herm_bad)) if herm_bad.any() else len(stack)
     head = stack[:first_herm]
-    idem_bad = ~(spectral_norms(head @ head - head) <= idem_tol)
+    idem_bad = ~(spectral_norms(head @ head - head) <= ALGEBRA_TOL)
     if idem_bad.any():
         raise ValidationError("projection is not idempotent")
     if first_herm < len(stack):
         raise ValidationError("projection is not Hermitian")
-    eigs = np.linalg.eigvalsh((stack + stack.conj().swapaxes(-1, -2)) / 2)
-    return [int(r) for r in np.sum(np.abs(eigs - 1.0) <= EIGEN_MERGE_TOL, axis=-1)]
+    # both checks put every eigenvalue of the Hermitian part within about
+    # 1e-10 of 0 or 1, and the real part of the trace is their sum, so the
+    # rounded trace is the rank
+    return [int(r) for r in np.rint(np.trace(stack, axis1=-2, axis2=-1).real)]
 
 
 def check_density(op) -> np.ndarray:
@@ -227,10 +231,10 @@ def draw_indices(weights: np.ndarray, rng: np.random.Generator, size: int) -> np
     return np.searchsorted(cum, rng.random(size), side="right").astype(np.int64)
 
 
-def spectral_resolution(op, merge_tol: float = EIGEN_MERGE_TOL) -> list[tuple[float, np.ndarray]]:
+def spectral_resolution(op) -> list[tuple[float, np.ndarray]]:
     """Eigenvalues and spectral projections of a Hermitian operator.
 
-    Eigenvalues closer than ``merge_tol`` are merged into one projection.
+    Eigenvalues closer than EIGEN_MERGE_TOL are merged into one projection.
     Returns (eigenvalue, projection) pairs in ascending eigenvalue order;
     the projections are mutually orthogonal and sum to the identity.
     """
@@ -241,7 +245,7 @@ def spectral_resolution(op, merge_tol: float = EIGEN_MERGE_TOL) -> list[tuple[fl
     pairs: list[tuple[float, np.ndarray]] = []
     start = 0
     for stop in range(1, len(w) + 1):
-        if stop == len(w) or w[stop] - w[start] > merge_tol:
+        if stop == len(w) or w[stop] - w[start] > EIGEN_MERGE_TOL:
             cols = v[:, start:stop]
             proj = cols @ dagger(cols)
             pairs.append((float(np.mean(w[start:stop])), proj))
@@ -249,11 +253,11 @@ def spectral_resolution(op, merge_tol: float = EIGEN_MERGE_TOL) -> list[tuple[fl
     return pairs
 
 
-def validate_resolution(ops, psd_tol: float = ALGEBRA_TOL, sum_tol: float = SPECTRAL_TOL) -> bool:
+def validate_resolution(ops) -> bool:
     """True when ``ops`` are positive operators summing to the identity.
 
-    Positivity means Hermitian with min eigenvalue >= -psd_tol; the sum
-    must satisfy |sum - I| <= sum_tol in spectral norm. Malformed shapes
+    Positivity means Hermitian with min eigenvalue >= -ALGEBRA_TOL; the sum
+    must satisfy |sum - I| <= SPECTRAL_TOL in spectral norm. Malformed shapes
     raise; everything else reports False rather than erroring.
     """
     mats = [as_operator(o) for o in ops]
@@ -263,10 +267,10 @@ def validate_resolution(ops, psd_tol: float = ALGEBRA_TOL, sum_tol: float = SPEC
     for mat in mats:
         if not is_hermitian(mat, tol=1e-10):
             return False
-        if np.linalg.eigvalsh((mat + dagger(mat)) / 2).min() < -psd_tol:
+        if np.linalg.eigvalsh((mat + dagger(mat)) / 2).min() < -ALGEBRA_TOL:
             return False
     gap = sum(mats) - np.eye(n)
-    return operator_norm(gap) <= sum_tol
+    return operator_norm(gap) <= SPECTRAL_TOL
 
 
 @dataclass(frozen=True)
@@ -336,9 +340,9 @@ class HermitianObservable:
     projections: tuple[np.ndarray, ...]
 
     @classmethod
-    def from_operator(cls, op, merge_tol: float = EIGEN_MERGE_TOL) -> "HermitianObservable":
+    def from_operator(cls, op) -> "HermitianObservable":
         mat = as_operator(op)
-        pairs = spectral_resolution(mat, merge_tol=merge_tol)
+        pairs = spectral_resolution(mat)
         values = tuple(val for val, _ in pairs)
         projs = tuple(proj for _, proj in pairs)
         recon = sum(val * proj for val, proj in pairs)

@@ -35,7 +35,6 @@ __all__ = [
     "born_weights",
     "sample_block_valuations",
     "TruthValuation",
-    "evaluate_element",
     "atom_partitions",
     "verify_block_assignment",
     "verify_homomorphism",
@@ -174,11 +173,6 @@ class TruthValuation:
             raise ValidationError(f"block {block.index} is not populated")
         atom = self.chosen[block.index]
         return [(mask >> atom) & 1 for mask in range(1 << block.n)]
-
-
-def evaluate_element(valuation: TruthValuation, pba: PartialBooleanAlgebra, block_index: int, mask: int) -> int:
-    """Evaluate element (block, mask), sampling the block on first access."""
-    return valuation.evaluate(pba.block(block_index), mask)
 
 
 @lru_cache(maxsize=None)

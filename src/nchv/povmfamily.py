@@ -44,6 +44,7 @@ from .opcore import (
 )
 
 DEFAULT_DENOMINATOR_CAP = 2**32
+_CAP_BITS = DEFAULT_DENOMINATOR_CAP.bit_length() - 1
 DISJOINTNESS_FLOOR = 1e-9
 
 __all__ = [
@@ -63,32 +64,6 @@ __all__ = [
 ]
 
 _to_int = np.frompyfunc(int, 1, 1)
-
-
-def _bareiss_det(re, im):
-    """Determinant of the Gaussian-integer matrix re + i im, as an (re, im) pair.
-
-    Bareiss elimination: every intermediate entry is a minor of the input,
-    so each division by the previous pivot is exact.
-    """
-    sign, pr, pi = 1, 1, 0
-    while len(re):
-        nonzero = np.flatnonzero((re[:, 0] != 0) | (im[:, 0] != 0))
-        if not nonzero.size:
-            return 0, 0
-        p = int(nonzero[0])
-        if p:
-            order = np.arange(len(re))
-            order[[0, p]] = p, 0
-            re, im, sign = re[order], im[order], -sign
-        ar, ai = re[0, 0], im[0, 0]
-        cr, ci, rr, ri = re[1:, 0], im[1:, 0], re[0, 1:], im[0, 1:]
-        nr = ar * re[1:, 1:] - ai * im[1:, 1:] - np.outer(cr, rr) + np.outer(ci, ri)
-        ni = ar * im[1:, 1:] + ai * re[1:, 1:] - np.outer(cr, ri) - np.outer(ci, rr)
-        q = pr * pr + pi * pi
-        re, im = (nr * pr + ni * pi) // q, (ni * pr - nr * pi) // q
-        pr, pi = ar, ai
-    return sign * pr, sign * pi
 
 
 class RationalOperator:
@@ -131,19 +106,16 @@ class RationalOperator:
         return cls(np.eye(n, dtype=object), np.zeros((n, n), dtype=object))
 
     @classmethod
-    def from_float(cls, mat, max_denominator=DEFAULT_DENOMINATOR_CAP):
-        """Round every entry to the nearest multiple of 2**-b, where 2**b is
-        the largest power of two not above ``max_denominator``.
+    def from_float(cls, mat):
+        """Round every entry to the nearest multiple of 1 / DEFAULT_DENOMINATOR_CAP.
 
         Floats already on that grid convert exactly; every other entry moves
-        by at most 2**-(b+1) in its real and in its imaginary part.
+        by at most half a grid step in its real and in its imaginary part.
         """
         m = as_operator(mat)
         if not np.isfinite(m).all():
             raise ValidationError("cannot rationalize a non-finite entry")
-        if max_denominator < 1:
-            raise ValidationError("denominator cap must be at least 1")
-        return cls._on_grid(m, max_denominator.bit_length() - 1)
+        return cls._on_grid(m, _CAP_BITS)
 
     @classmethod
     def _on_grid(cls, mat, bits):
@@ -208,17 +180,8 @@ class RationalOperator:
     def all_entries_nonzero(self) -> bool:
         return bool(((self.re != 0) | (self.im != 0)).all())
 
-    def principal_minor(self, indices) -> Fraction:
-        """det of the principal submatrix on ``indices``; exact, real for Hermitian input."""
-        idx = list(indices)
-        sub = np.ix_(idx, idx)
-        det_re, det_im = _bareiss_det(self.re[sub], self.im[sub])
-        if det_im != 0:
-            raise ValidationError("principal minor has nonzero imaginary part; operator not Hermitian")
-        return Fraction(det_re, self.den ** len(idx))
-
-    def _certificate(self):
-        """(positive semidefinite, rank of the embedding) for a Hermitian operator.
+    def _certificate(self) -> bool:
+        """Positive semidefiniteness of a Hermitian operator.
 
         Pivoted fraction-free symmetric elimination (Bareiss) on the integer
         embedding [[A, -B], [B, A]] of den * (A + iB), which carries every
@@ -228,29 +191,23 @@ class RationalOperator:
         remaining block to vanish.
         """
         m = np.block([[self.re, -self.im], [self.im, self.re]])
-        prev, rank = 1, 0
+        prev = 1
         while len(m):
             diag = m.diagonal()
             p = int(np.argmax(diag))
             if diag.min() < 0:
-                return False, rank
+                return False
             if diag[p] == 0:
-                return not (m != 0).any(), rank
+                return not (m != 0).any()
             keep = np.arange(len(m)) != p
             col = m[keep, p]
             m = (diag[p] * m[np.ix_(keep, keep)] - np.outer(col, col)) // prev
-            prev, rank = diag[p], rank + 1
-        return True, rank
-
-    def is_positive_definite(self) -> bool:
-        if not self.is_hermitian():
-            return False
-        psd, rank = self._certificate()
-        return psd and rank == 2 * self.n
+            prev = diag[p]
+        return True
 
     def is_positive_semidefinite(self) -> bool:
         """Exact PSD certificate by pivoted fraction-free elimination."""
-        return self.is_hermitian() and self._certificate()[0]
+        return self.is_hermitian() and self._certificate()
 
     def to_complex(self) -> np.ndarray:
         # int / int is correctly rounded however large the integers grow
@@ -363,7 +320,7 @@ def _positive_bump(n: int) -> RationalOperator:
                             2**c)
 
 
-def rationalize_po(target, delta: float, max_denominator: int = DEFAULT_DENOMINATOR_CAP) -> RationalOperator:
+def rationalize_po(target, delta: float) -> RationalOperator:
     """Snap one positive operator onto an admissible rational operator within ``delta``.
 
     When the float entries already form an admissible rational matrix the
@@ -373,7 +330,7 @@ def rationalize_po(target, delta: float, max_denominator: int = DEFAULT_DENOMINA
     positive bump is added until every entry is nonzero, so the result has
     a power-of-two denominator. b is the smallest grid that keeps the
     rounding's effect on X*X below delta/2, but 2**b never exceeds
-    ``max_denominator``. Each entry is affine in the bump weight with a
+    DEFAULT_DENOMINATOR_CAP. Each entry is affine in the bump weight with a
     nonzero coefficient, so at most n**2 weights can zero an entry and
     n**2 + 1 candidates always suffice.
 
@@ -390,7 +347,7 @@ def rationalize_po(target, delta: float, max_denominator: int = DEFAULT_DENOMINA
     if w.min() < -1e-8:
         raise ValidationError("target must be positive within tolerance")
 
-    exact = RationalOperator.from_float(mat, max_denominator)
+    exact = RationalOperator.from_float(mat)
     if np.array_equal(exact.to_complex(), mat) and is_admissible(exact):
         return exact
 
@@ -400,12 +357,12 @@ def rationalize_po(target, delta: float, max_denominator: int = DEFAULT_DENOMINA
     # |E| (2|X| + |E|), which this grid keeps below delta / (2 sqrt(2))
     norm_x = math.sqrt(w.max())
     bits = math.ceil(math.log2(4 * n * (norm_x + 1) / delta))
-    rounded = RationalOperator._on_grid(factor, max(0, min(bits, max_denominator.bit_length() - 1)))
+    rounded = RationalOperator._on_grid(factor, max(0, min(bits, _CAP_BITS)))
     base = rounded.dagger() @ rounded
     bump = _positive_bump(n)
     # the largest power of two whose bump, of norm <= 3/2, moves by <= delta/4
     weight0 = Fraction(2) ** -math.ceil(math.log2(6 / delta))
-    if weight0.denominator > max_denominator:
+    if weight0.denominator > DEFAULT_DENOMINATOR_CAP:
         raise PrecisionError("delta is below the resolution of the denominator cap")
     out = None
     for j in range(n * n + 1):
@@ -419,7 +376,7 @@ def rationalize_po(target, delta: float, max_denominator: int = DEFAULT_DENOMINA
     if not achieved < delta:
         raise PrecisionError(
             f"achieved distance {achieved:.3e} does not beat delta {delta:.3e}; "
-            "raise delta or the denominator cap"
+            "raise delta"
         )
     return out
 
@@ -440,8 +397,7 @@ class SnapDiagnostics:
     sum_gap_within_bound: bool
 
 
-def snap_resolution(targets, eps: float, max_denominator: int = DEFAULT_DENOMINATOR_CAP,
-                    return_diagnostics: bool = False):
+def snap_resolution(targets, eps: float, return_diagnostics: bool = False):
     """Snap a floating positive-operator resolution onto an exact rational one.
 
     Parameters
@@ -491,7 +447,7 @@ def snap_resolution(targets, eps: float, max_denominator: int = DEFAULT_DENOMINA
     reach = k * delta
     shrink = 1 - Fraction(1, 2 ** ((reach.denominator // reach.numerator).bit_length() - 1))
 
-    primed = [rationalize_po(float(shrink) * m, float(delta), max_denominator) for m in mats]
+    primed = [rationalize_po(float(shrink) * m, float(delta)) for m in mats]
     total = primed[0]
     for p in primed[1:]:
         total = total + p

@@ -235,17 +235,42 @@ def pvm_candidates(observable: HermitianObservable, family: BasisFamily | None,
     return cands, float(dists.min())
 
 
-def realize_pvm(request: MeasurementRequest, family: BasisFamily | None,
-                rng_apparatus: np.random.Generator) -> PvmRealization:
-    """Draw one realizable family member uniformly at random."""
-    if request.kind != "pvm":
-        raise ValidationError("not a projective request")
+def _pvm_realizations(request: MeasurementRequest,
+                      family: BasisFamily | None) -> list[PvmRealization]:
+    """The candidates a projective request draws from; NoCandidateError when there are none."""
     cands, nearest = pvm_candidates(request.observable, family, request.precision)
     if not cands:
         raise NoCandidateError(
             f"no family member within {request.precision:g} (nearest at {nearest:.3e})",
             nearest_distance=nearest,
         )
+    return cands
+
+
+def _povm_realizations(request: MeasurementRequest,
+                       registry: ResolutionRegistry | None) -> list[TaggedResolution]:
+    """The registered candidates of a positive-operator request, in one registry scan.
+
+    A cache hit is any registered resolution whose members sit within the
+    requested precision of the targets, indexwise. On a miss the targets
+    are snapped and registered, the budget split evenly between snapping
+    and the phase tag, and the new entry is the only candidate.
+    """
+    if registry is None:
+        raise ValidationError("positive-operator request needs a registry in the context")
+    cands = registry.candidates_within(request.povm_targets, request.precision)
+    if cands:
+        return cands
+    half = request.precision / 2.0
+    return [registry.register(snap_resolution(request.povm_targets, half), half)]
+
+
+def realize_pvm(request: MeasurementRequest, family: BasisFamily | None,
+                rng_apparatus: np.random.Generator) -> PvmRealization:
+    """Draw one realizable family member uniformly at random."""
+    if request.kind != "pvm":
+        raise ValidationError("not a projective request")
+    cands = _pvm_realizations(request, family)
     return cands[int(rng_apparatus.integers(len(cands)))]
 
 
@@ -253,26 +278,12 @@ def realize_povm(request: MeasurementRequest, registry: ResolutionRegistry | Non
                  rng_apparatus: np.random.Generator) -> TaggedResolution:
     """Serve a positive-operator request from the registry, snapping on a miss.
 
-    A cache hit is any registered resolution whose members sit within the
-    requested precision of the targets, indexwise. On a miss the budget is
-    split evenly between snapping and the phase tag.
+    Draws uniformly among the candidates of ``_povm_realizations``.
     """
     if request.kind != "povm":
         raise ValidationError("not a positive-operator request")
-    return _povm_draw(request, registry, rng_apparatus)[0]
-
-
-def _povm_draw(request, registry, rng_apparatus):
-    """``realize_povm``'s pick and the candidates it was drawn from, in one registry scan."""
-    if registry is None:
-        raise ValidationError("positive-operator request needs a registry in the context")
-    cands = registry.candidates_within(request.povm_targets, request.precision)
-    if cands:
-        return cands[int(rng_apparatus.integers(len(cands)))], cands
-    half = request.precision / 2.0
-    base = snap_resolution(request.povm_targets, half)
-    chosen = registry.register(base, half)
-    return chosen, [chosen]
+    cands = _povm_realizations(request, registry)
+    return cands[int(rng_apparatus.integers(len(cands)))]
 
 
 def _realized_distances(targets, cands) -> list[float]:
@@ -396,19 +407,14 @@ def run_trials(request: MeasurementRequest, n_trials: int, context: SimulationCo
     density = context.density
 
     if request.kind == "pvm":
-        cands, nearest = pvm_candidates(request.observable, context.family, request.precision)
-        if not cands:
-            raise NoCandidateError(
-                f"no family member within {request.precision:g} (nearest at {nearest:.3e})",
-                nearest_distance=nearest,
-            )
+        cands = _pvm_realizations(request, context.family)
         labels = request.observable.eigenvalues
         w = _atom_weights(density, np.array([c.member.basis.mat for c in cands]))
         weights = np.take_along_axis(w, np.array([c.target_to_atom for c in cands]), axis=1)
         realized_ids = [c.member_index for c in cands]
         realized_distances = [c.distance for c in cands]
     else:
-        _, cands = _povm_draw(request, context.registry, rng_app)
+        cands = _povm_realizations(request, context.registry)
         labels = tuple(range(cands[0].k))
         weights = _povm_weights(density, [c.members for c in cands])
         realized_ids = [c.index for c in cands]
@@ -473,9 +479,7 @@ def run_noncontextuality_audit(request: MeasurementRequest, context: SimulationC
         raise ValidationError("the audit applies to projective requests")
     rng_app = np.random.default_rng(request.apparatus_seed)
     rng_sys = np.random.default_rng(request.system_seed)
-    cands, nearest = pvm_candidates(request.observable, context.family, request.precision)
-    if not cands:
-        raise NoCandidateError("no realizable member for the audit", nearest_distance=nearest)
+    cands = _pvm_realizations(request, context.family)
     # one valuation, emptied before each trial, draws what a fresh one would
     valuation = TruthValuation(context.density, rng_sys)
     violations = 0

@@ -116,17 +116,14 @@ def reference_minor(rows, idx):
     return total_re, total_im
 
 
-def reference_definiteness(rows):
-    """(PSD, PD) of a Hermitian matrix of (re, im) Fraction pairs by Sylvester's criterion.
+def reference_semidefinite(rows):
+    """Positive semidefiniteness of a Hermitian matrix of (re, im) Fraction pairs.
 
-    Positive semidefinite iff every principal minor is nonnegative, positive
-    definite iff every leading principal minor is positive.
+    Sylvester's criterion: every principal minor is nonnegative.
     """
     n = len(rows)
     subsets = [idx for size in range(1, n + 1) for idx in combinations(range(n), size)]
-    psd = all(reference_minor(rows, idx)[0] >= 0 for idx in subsets)
-    pd = all(reference_minor(rows, tuple(range(size)))[0] > 0 for size in range(1, n + 1))
-    return psd, pd
+    return all(reference_minor(rows, idx)[0] >= 0 for idx in subsets)
 
 
 def _rational_json(q):

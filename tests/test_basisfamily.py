@@ -1,7 +1,6 @@
 """Family generation, incompatibility checks, and the repair loop."""
 
 import gc
-import itertools
 import json
 import weakref
 
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nchv import basisfamily
 from nchv.basisfamily import (
     BasisFamily,
     FamilyMember,
@@ -107,7 +107,7 @@ class TestRepair:
         rng = np.random.default_rng(3)
         first = FamilyMember(1, haar_basis(3, rng), Provenance(None, 0, 0.0))
         candidate = haar_basis(3, rng)
-        member = repair_member(candidate, [first], budget=0.5, rng=rng)
+        member = repair_member(candidate, first.basis.mat[None], budget=0.5, rng=rng)
         assert member.provenance.replacements == 0
         assert np.array_equal(member.basis.mat, candidate.mat)
 
@@ -115,7 +115,7 @@ class TestRepair:
         rng = np.random.default_rng(4)
         basis = haar_basis(3, rng)
         first = FamilyMember(1, basis, Provenance(None, 0, 0.0))
-        member = repair_member(basis, [first], budget=0.25, rng=rng)
+        member = repair_member(basis, first.basis.mat[None], budget=0.25, rng=rng)
         assert member.provenance.replacements > 0
         assert 0.0 < member.provenance.distance_moved < 0.25
         assert totally_incompatible(member.basis, basis)
@@ -124,16 +124,17 @@ class TestRepair:
         basis = haar_basis(3, np.random.default_rng(5))
         first = FamilyMember(1, basis, Provenance(None, 0, 0.0))
         with pytest.raises(ValidationError):
-            repair_member(basis, [first], budget=0.25, rng=None)
+            repair_member(basis, first.basis.mat[None], budget=0.25, rng=None)
 
-    def test_unreachable_floor_exhausts(self):
+    def test_unreachable_floor_exhausts(self, monkeypatch):
         # |[P,Q]| <= 1/2 for projections, so a floor of 1 can never clear
+        monkeypatch.setattr(basisfamily, "ATTEMPTS_PER_RADIUS", 4)
+        monkeypatch.setattr(basisfamily, "RADIUS_LEVELS", 3)
         rng = np.random.default_rng(6)
         basis = haar_basis(2, rng)
-        first = FamilyMember(1, haar_basis(2, rng), Provenance(None, 0, 0.0))
-        with pytest.raises(RepairExhaustedError):
-            repair_member(basis, [first], budget=0.5, floor=1.0, rng=rng,
-                          attempts_per_radius=4, radius_levels=3)
+        first = haar_basis(2, rng)
+        with pytest.raises(RepairExhaustedError, match="after 12 attempts"):
+            repair_member(basis, first.mat[None], budget=0.5, floor=1.0, rng=rng)
 
 
 class TestGenerateFamily:
@@ -226,32 +227,19 @@ class TestNearestMember:
         assert idx == family10.members[6].index
         assert dist < 1e-12
 
-    def test_order_insensitive_matches_permuted(self, family10):
-        target = family10.members[2].basis.permuted([2, 0, 1])
-        _, ordered_dist = nearest_member(family10, target)
-        idx, dist = nearest_member(family10, target, order_insensitive=True)
-        assert idx == family10.members[2].index
-        assert dist < 1e-12
-        assert ordered_dist > dist
-
-    def test_order_insensitive_capped_above_dimension_six(self):
-        fam = generate_family(7, 1, seed=1)
-        with pytest.raises(ValidationError):
-            nearest_member(fam, OrthonormalBasis(np.eye(7)), order_insensitive=True)
-
-    @pytest.mark.parametrize("order_insensitive", [False, True])
-    def test_batch_matches_member_loop_bit_for_bit(self, family10, order_insensitive):
-        # reference: one basis_distance per member and target ordering,
-        # the first strict minimum winning
+    @pytest.mark.parametrize("permuted_member", [False, True])
+    def test_batch_matches_member_loop_bit_for_bit(self, family10, permuted_member):
+        # reference: one basis_distance per member, the first strict minimum
+        # winning; reordered members check that vector order counts
         rng = np.random.default_rng(31)
-        orders = list(itertools.permutations(range(3))) if order_insensitive else [(0, 1, 2)]
-        for _ in range(10):
-            target = haar_basis(3, rng)
-            dists = [min(basis_distance(m.basis, target.permuted(o)) for o in orders)
-                     for m in family10.members]
+        for k in range(10):
+            if permuted_member:
+                target = family10.members[k].basis.permuted(rng.permutation(3))
+            else:
+                target = haar_basis(3, rng)
+            dists = [basis_distance(m.basis, target) for m in family10.members]
             best = int(np.argmin(dists))
-            assert nearest_member(family10, target, order_insensitive) == (
-                family10.members[best].index, dists[best])
+            assert nearest_member(family10, target) == (family10.members[best].index, dists[best])
 
     def test_first_of_tied_members_wins(self, family10):
         twins = [FamilyMember(i, family10.members[3].basis, Provenance(None, 0, 0.0))

@@ -17,6 +17,7 @@ from helpers import (
     reference_dedup,
     reference_discover_resolutions,
 )
+from nchv import kscheck
 from nchv.basisfamily import generate_family, haar_basis
 from nchv.errors import DimensionMismatchError, SearchCapError, ValidationError
 from nchv.kscheck import (
@@ -116,10 +117,11 @@ class TestDiscovery:
         found = discover_resolutions(ops)
         assert (0, 1) in found and (0, 2, 3) in found
 
-    def test_budget_enforced(self):
+    def test_budget_enforced(self, monkeypatch):
+        monkeypatch.setattr(kscheck, "DEFAULT_DISCOVERY_BUDGET", 2)
         ops = atoms_of(np.eye(3))
         with pytest.raises(SearchCapError):
-            discover_resolutions(ops, node_budget=2)
+            discover_resolutions(ops)
 
 
 def _perturbed(ops, scale, rng):
@@ -336,11 +338,12 @@ class TestMixedRanks:
         with pytest.raises(DimensionMismatchError):
             discover_resolutions(operators)
 
-    def test_budget_enforced_on_mixed_ranks(self):
+    def test_budget_enforced_on_mixed_ranks(self, monkeypatch):
         ops = _split_bases(12, seed=6)
         assert len(discover_resolutions(ops)) == 24
+        monkeypatch.setattr(kscheck, "DEFAULT_DISCOVERY_BUDGET", 40)
         with pytest.raises(SearchCapError):
-            discover_resolutions(ops, node_budget=40)
+            discover_resolutions(ops)
 
 
 class TestDiscoveryScale:
@@ -381,10 +384,11 @@ class TestFindTruthFunctions:
         assert len(res.solutions) == 5
         assert not res.exhausted
 
-    def test_node_budget_enforced(self, family10):
+    def test_node_budget_enforced(self, family10, monkeypatch):
+        monkeypatch.setattr(kscheck, "DEFAULT_SEARCH_BUDGET", 1)
         prob = problem_from_family(family10, count=3)
         with pytest.raises(SearchCapError):
-            find_truth_functions(prob, node_budget=1)
+            find_truth_functions(prob)
 
     def test_no_resolutions_means_free_assignments(self):
         prob = build_problem(atoms_of(np.eye(2)), [])

@@ -138,6 +138,33 @@ class TestCheckProjections:
         else:
             assert check_projections(stack) == expected
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_trace_rank_matches_the_eigenvalue_count(self, n):
+        # seeded projections of every rank plus Hermitian noise of spectral
+        # norm 1e-16 ... 1e-11, which all pass both checks
+        rng = np.random.default_rng(n)
+        for scale in 10.0 ** np.arange(-16, -10):
+            z = rng.normal(size=(500, n, n)) + 1j * rng.normal(size=(500, n, n))
+            v = np.linalg.qr(z)[0]
+            ranks = rng.integers(n + 1, size=500)
+            proj = (v * (np.arange(n) < ranks[:, None])[:, None]) @ v.conj().swapaxes(-1, -2)
+            noise = z + z.conj().swapaxes(-1, -2)
+            stack = proj + scale * noise / np.linalg.norm(noise, 2, axis=(-2, -1))[:, None, None]
+            eigs = np.linalg.eigvalsh((stack + stack.conj().swapaxes(-1, -2)) / 2)
+            old = np.sum(np.abs(eigs - 1.0) <= 1e-8, axis=-1)
+            assert check_projections(stack) == old.tolist() == ranks.tolist()
+
+    def test_ranks_take_no_eigendecomposition(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def spy(*args, real=getattr(np.linalg, name), name=name, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        stack = np.array([subset_projection(OrthonormalBasis(np.eye(3)), m) for m in range(8)])
+        assert check_projections(stack) == [bin(m).count("1") for m in range(8)]
+        assert calls == []
+
 
 class TestBasis:
     def test_columns_must_be_orthonormal(self):

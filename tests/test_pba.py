@@ -18,7 +18,6 @@ from nchv.pba import (
     block_structure_extremes,
     born_weights,
     build_block,
-    evaluate_element,
     sample_block_valuations,
     verify_block_assignment,
     verify_fullness,
@@ -167,11 +166,6 @@ class TestTruthValuation:
         # same draws as the checked public sampler
         rng = np.random.default_rng(8)
         assert atoms == [int(sample_block_valuations(d, b, rng, 1)[0]) for b in pba10.blocks]
-
-    def test_evaluate_element_convenience(self, pba10):
-        val = TruthValuation(np.eye(3) / 3, np.random.default_rng(6))
-        total = sum(evaluate_element(val, pba10, 3, 1 << i) for i in range(3))
-        assert total == 1
 
 
 class TestAssignmentLaws:

@@ -110,6 +110,13 @@ class TestPvmRealization:
         with pytest.raises(NoCandidateError) as info:
             realize_pvm(req, family10, np.random.default_rng(0))
         assert info.value.nearest_distance > 1e-8
+        ctx = SimulationContext(np.eye(3) / 3, family=family10)
+        for entry in (lambda: run_trials(req, 10, ctx),
+                      lambda: run_noncontextuality_audit(req, ctx, 10)):
+            with pytest.raises(NoCandidateError) as other:
+                entry()
+            assert str(other.value) == str(info.value)
+            assert other.value.nearest_distance == info.value.nearest_distance
 
     def test_degenerate_target_rejected(self, family10):
         obs = HermitianObservable.from_operator(np.diag([1.0, 1.0, 3.0]))
@@ -385,6 +392,18 @@ class TestRunTrialsPovm:
         assert report.config["realized_ids"] == [9, 10]
         simulate_trial(req, ctx, np.random.default_rng(1), np.random.default_rng(2))
         assert calls == []
+
+    def test_fixed_apparatus_uses_the_realize_povm_draw(self):
+        req, ctx = self._shared_base(3)
+        ctx.fixed_apparatus = True
+        used, drawn = [], []
+        for seed in range(20):
+            req = MeasurementRequest.povm(req.povm_targets, 0.5, apparatus_seed=seed)
+            report = run_trials(req, 10, ctx, keep_samples=True)
+            used.append(report.config["realized_ids"][report.samples[0][0]])
+            drawn.append(realize_povm(req, ctx.registry, np.random.default_rng(seed)).index)
+        assert len(set(drawn)) == 3
+        assert used == drawn
 
     def test_realized_distances_match_the_member_loop(self):
         req, ctx = self._shared_base(4)
