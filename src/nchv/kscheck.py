@@ -18,7 +18,6 @@ the stacked operators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +28,8 @@ from .opcore import (
     as_operator,
     check_projections,
     operator_from_json,
-    operator_norm,
     read_json,
+    spectral_distances,
     spectral_norms,
 )
 
@@ -81,24 +80,15 @@ def _dedup(stack, tol):
 
     Returns the stack positions of the representatives and, for every
     operator, the index of its representative: the first one within
-    ``tol``. Each operator takes its Frobenius distances to the
-    representatives so far in one pass; since |X|_F <= sqrt(n) |X|, only
-    those within sqrt(n) tol (plus a roundoff margin) can be within ``tol``,
-    and ``operator_norm`` confirms them in order.
+    ``tol``, settled in the row-major order of ``spectral_distances`` pairs.
     """
-    reach = math.sqrt(stack.shape[-1]) * tol * (1 + 1e-12)
-    reps = np.empty_like(stack)
-    first: list[int] = []
-    index_map: list[int] = []
-    for i, op in enumerate(stack):
-        near = np.flatnonzero(np.linalg.norm(reps[:len(first)] - op, axis=(1, 2)) <= reach)
-        j = next((int(j) for j in near if operator_norm(op - reps[j]) <= tol), None)
-        if j is None:
-            j = len(first)
-            reps[j] = op
-            first.append(i)
-        index_map.append(j)
-    return first, index_map
+    rows, cols, dist = spectral_distances(stack, reach=tol)
+    rep_of = list(range(len(stack)))
+    for i, j in zip(rows[dist <= tol].tolist(), cols[dist <= tol].tolist()):
+        if rep_of[i] == i and rep_of[j] == j:
+            rep_of[i] = j
+    first = [i for i, r in enumerate(rep_of) if r == i]
+    return first, np.searchsorted(first, rep_of).tolist()
 
 
 def _universe_indices(res, size):

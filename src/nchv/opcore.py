@@ -26,6 +26,7 @@ ALGEBRA_TOL = 1e-10
 SPECTRAL_TOL = 1e-9
 EIGEN_MERGE_TOL = 1e-8
 SCAN_CHUNK = 4096  # commutator norms per batched call in min_commutator_norm
+PAIR_CHUNK = 1 << 20  # operator pairs per Gram pass in spectral_distances
 
 __all__ = [
     "STRUCT_TOL",
@@ -37,6 +38,7 @@ __all__ = [
     "dagger",
     "operator_norm",
     "spectral_norms",
+    "spectral_distances",
     "commutator",
     "commutator_norms",
     "min_commutator_norm",
@@ -90,6 +92,52 @@ def operator_norm(op) -> float:
 def spectral_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of every matrix in a (..., n, n) stack."""
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+def spectral_distances(first, second=None, reach=None, owners=None):
+    """Pairs whose spectral distance could be <= ``reach``, each with its exact distance.
+
+    Items of the stacks ``first`` (p, ..., n, n) and ``second`` (q, ..., n, n)
+    are as far apart as the largest spectral norm of their differences; pair
+    (i, j) is first[i] - second[j]. Without ``second``: pairs i > j of
+    ``first`` with different ``owners``, if given. Without ``reach``: the
+    least Frobenius distance of a pair, so the nearest pair is kept. Gram
+    passes over chunks of about PAIR_CHUNK pairs give every |X|_F^2 as
+    |a|^2 + |b|^2 - 2 Re<a, b>; a pair is ruled out only when |X|_F^2 / n <=
+    |X|^2, less a roundoff margin of (2 n^2 + 8) ulps of |a|^2 + |b|^2,
+    exceeds reach^2 (no square root is taken). One batched SVD of the direct
+    differences decides the rest. Returns (rows, cols, distances), row-major.
+    """
+    a = np.asarray(first, dtype=complex)
+    b = a if second is None else np.asarray(second, dtype=complex)
+    n, c = a.shape[-1], int(np.prod(a.shape[1:-2]))
+    fa, fb = (s.reshape(len(s), c, n * n).swapaxes(0, 1) for s in (a, b))
+    sa, sb = ((f.real ** 2 + f.imag ** 2).sum(axis=-1) for f in (fa, fb))
+    slack = (2 * n * n + 8) * np.finfo(float).eps
+    # n reach^2 bounds |X|_F^2; a product of Python floats overflows to inf without a warning
+    limit = np.inf if reach is None else n * float(reach) * float(reach)
+    step = max(1, PAIR_CHUNK // max(1, c * len(b)))
+    found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    for lo in range(0, len(a), step):
+        hi = min(lo + step, len(a))
+        width = hi if second is None else len(b)
+        cross = (fa[:, lo:hi] @ fb[:, :width].conj().swapaxes(-1, -2)).real * -2.0
+        tot = sa[:, lo:hi, None] + sb[:, None, :width]
+        low = (cross + (1 - slack) * tot).max(axis=0)
+        counted = (np.arange(lo, hi)[:, None] > np.arange(width) if second is None
+                   else np.ones(low.shape, dtype=bool))
+        if owners is not None:
+            counted &= owners[lo:hi, None] != owners[:width]
+        if reach is None:
+            up = (cross + (1 + slack) * tot).max(axis=0)
+            limit = min(limit, n * float(up[counted].min(initial=np.inf)))
+        rows, cols = np.nonzero(counted & (low <= limit))
+        found.append((rows + lo, cols, low[rows, cols]))
+    rows, cols, low = (np.concatenate(part) for part in zip(*found))
+    # a pair kept before a later chunk lowered the nearest bound may be out of reach now
+    rows, cols = rows[low <= limit], cols[low <= limit]
+    dist = spectral_norms(a[rows] - b[cols]).reshape(-1, c).max(axis=1) if len(rows) else np.empty(0)
+    return rows, cols, dist
 
 
 def commutator(a, b) -> np.ndarray:
@@ -296,10 +344,6 @@ class OrthonormalBasis:
 
     def vector(self, i: int) -> np.ndarray:
         return self.mat[:, i]
-
-    def permuted(self, order) -> "OrthonormalBasis":
-        """Same vectors listed in a different order."""
-        return OrthonormalBasis(self.mat[:, list(order)])
 
 
 def basis_distance(first: OrthonormalBasis, second: OrthonormalBasis) -> float:

@@ -38,7 +38,7 @@ from .opcore import (
     operator_norm,
     read_json,
     require_same_dim,
-    spectral_norms,
+    spectral_distances,
     validate_resolution,
     write_json,
 )
@@ -546,23 +546,6 @@ def phase_tag(base: RationalResolution, index: int) -> TaggedResolution:
     return TaggedResolution(index=index, base=base, theta=theta, tag=tag, members=members)
 
 
-# relative slack on Frobenius prefilters, far above their roundoff, so a
-# prefilter never drops a member that the exact SVD would keep
-_FRO_SLACK = 1e-12
-
-
-def _stacked_members(entries, n: int):
-    """Float members of ``entries`` as one (M, n, n) stack, with each member's registry index."""
-    stack = np.array([m for e in entries for m in e.members], dtype=complex).reshape(-1, n, n)
-    owners = np.array([e.index for e in entries for _ in e.members], dtype=np.int64)
-    return stack, owners
-
-
-def _frobenius(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of every matrix in a (..., n, n) stack."""
-    return np.sqrt(np.einsum("...ij,...ij->...", stack, stack.conj()).real)
-
-
 class ResolutionRegistry:
     """Registered tagged resolutions with strictly distinct indices.
 
@@ -572,10 +555,9 @@ class ResolutionRegistry:
     1e-9 of an existing member of another resolution; with exact bases
     and distinct indices that would signal an arithmetic bug.
 
-    Lookup and the guard each make one vectorised pass over the stacked
-    float members of ``entries``. Since |X|_F / sqrt(n) <= |X| <= |X|_F,
-    one batched Frobenius table rules out every entry whose lower bound
-    already misses, and a single batched SVD decides the few survivors.
+    Lookup, the guard (over all pairs on load) and the cross-member floor each
+    make one ``spectral_distances`` pass over the held (M, n, n) float member
+    stack and its owners' indices, which ``register`` and ``from_json`` grow.
     """
 
     def __init__(self, dim: int):
@@ -584,6 +566,7 @@ class ResolutionRegistry:
         self.dim = dim
         self.entries: list[TaggedResolution] = []
         self._used: set[int] = set()
+        self._members, self._owners = np.empty((0, dim, dim), dtype=complex), np.empty(0, np.int64)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -606,57 +589,36 @@ class ResolutionRegistry:
         m = self.smallest_free_index(eps_remaining)
         tagged = phase_tag(base, m)
         self._check_disjoint(tagged)
-        self.entries.append(tagged)
-        self._used.add(m)
+        self._append(tagged)
         return tagged
 
+    def _append(self, tagged: TaggedResolution) -> None:
+        self._members = np.concatenate([self._members, tagged.members])
+        self._owners = np.append(self._owners, [tagged.index] * tagged.k)
+        self.entries.append(tagged)
+        self._used.add(tagged.index)
+
     def _check_disjoint(self, tagged: TaggedResolution) -> None:
-        old, owners = _stacked_members(self.entries, self.dim)
-        diff = np.array(tagged.members)[:, None] - old[None]
-        near = _frobenius(diff) <= DISJOINTNESS_FLOOR * math.sqrt(self.dim) * (1 + _FRO_SLACK)
-        for i, j in np.argwhere(near):
-            if operator_norm(diff[i, j]) <= DISJOINTNESS_FLOOR:
-                raise RegistryCollisionError(
-                    f"member of new registration coincides with one of index {owners[j]}"
-                )
+        _, cols, dist = spectral_distances(tagged.members, self._members, DISJOINTNESS_FLOOR)
+        for j in cols[dist <= DISJOINTNESS_FLOOR]:
+            raise RegistryCollisionError("member of new registration coincides with one of "
+                                         f"index {self._owners[j]}")
 
     def candidates_within(self, targets, eps: float) -> list[TaggedResolution]:
         """Registered resolutions whose members match ``targets`` indexwise within eps."""
         mats = [as_operator(t) for t in targets]
         n = require_same_dim(*mats)
         pool = [e for e in self.entries if e.k == len(mats) and e.dim == n]
-        diff = np.array(mats) - _stacked_members(pool, n)[0].reshape(len(pool), len(mats), n, n)
-        # an entry with a member whose lower bound fro/sqrt(n) reaches eps is out
-        near = np.flatnonzero(_frobenius(diff).max(axis=1) < eps * math.sqrt(n) * (1 + _FRO_SLACK))
-        if not near.size:
+        if not pool:
             return []
-        dist = spectral_norms(diff[near]).max(axis=1)
-        return [pool[i] for i in near[dist < eps]]
+        ks = np.array([e.k for e in self.entries])
+        held = self._members[np.repeat(ks == len(mats), ks)].reshape(len(pool), len(mats), n, n)
+        _, cols, dist = spectral_distances(np.array(mats)[None], held, eps)
+        return [pool[i] for i in cols[dist < eps]]
 
     def min_cross_member_distance(self) -> float:
         """Smallest spectral distance between members of distinct resolutions."""
-        stack, owners = _stacked_members(self.entries, self.dim)
-        if len(stack) < 2:
-            return float("inf")
-        flat = stack.reshape(len(stack), -1)
-        sq = np.einsum("ij,ij->i", flat, flat.conj()).real
-        gram = (flat @ flat.conj().T).real
-        dist2 = np.clip(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0, None)
-        fro = np.sqrt(dist2)
-        cross = owners[:, None] != owners[None, :]
-        upper = np.arange(len(flat))[:, None] < np.arange(len(flat))[None, :]
-        pairs = np.argwhere(cross & upper)
-        order = np.argsort(fro[pairs[:, 0], pairs[:, 1]])
-        best = float("inf")
-        sqrt_n = math.sqrt(self.dim)
-        # the spectral norm sits in [fro/sqrt(n), fro]; walking pairs by
-        # Frobenius distance lets the scan stop as soon as no pair can win
-        for a, b in pairs[order]:
-            if fro[a, b] >= best * sqrt_n:
-                break
-            spec = operator_norm(stack[a] - stack[b])
-            best = min(best, spec)
-        return best
+        return float(spectral_distances(self._members, owners=self._owners)[2].min(initial=np.inf))
 
     def to_json(self) -> dict:
         return {
@@ -678,10 +640,13 @@ class ResolutionRegistry:
                 tagged = phase_tag(base, int(entry["index"]))
                 if tagged.index in reg._used:
                     raise ValidationError(f"registry index {tagged.index} appears twice")
-                reg.entries.append(tagged)
-                reg._used.add(tagged.index)
+                reg._append(tagged)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed registry object: {exc}") from exc
+        rows, cols, dist = spectral_distances(reg._members, None, DISJOINTNESS_FLOOR, reg._owners)
+        for i, j in zip(rows[dist <= DISJOINTNESS_FLOOR], cols[dist <= DISJOINTNESS_FLOOR]):
+            raise RegistryCollisionError(f"member of index {reg._owners[i]} coincides with one "
+                                         f"of index {reg._owners[j]}")
         return reg
 
     def save(self, path) -> None:

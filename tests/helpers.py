@@ -168,6 +168,28 @@ def reference_dedup(ops, tol):
     return reps, index_map
 
 
+def reference_spectral_distances(first, second=None, owners=None):
+    """Every pair ``spectral_distances`` may report, with one ``operator_norm`` per operator pair.
+
+    Maps (i, j) to the largest spectral norm of first[i] - second[j] over the
+    middle axes; without ``second``, the pairs of ``first`` with i > j and,
+    with ``owners``, different labels.
+    """
+    from nchv.opcore import operator_norm
+
+    a = np.asarray(first, dtype=complex)
+    b = a if second is None else np.asarray(second, dtype=complex)
+    n = a.shape[-1]
+    out = {}
+    for i in range(len(a)):
+        for j in range(i if second is None else len(b)):
+            if owners is not None and owners[i] == owners[j]:
+                continue
+            diffs = (a[i] - b[j]).reshape(-1, n, n)
+            out[i, j] = max(operator_norm(d) for d in diffs)
+    return out
+
+
 def reference_discover_resolutions(ops, ranks, node_budget=200_000):
     """Depth-first scan over increasing indices that rank-1 discovery must agree with.
 

@@ -234,7 +234,7 @@ class TestNearestMember:
         rng = np.random.default_rng(31)
         for k in range(10):
             if permuted_member:
-                target = family10.members[k].basis.permuted(rng.permutation(3))
+                target = OrthonormalBasis(family10.members[k].basis.mat[:, rng.permutation(3)])
             else:
                 target = haar_basis(3, rng)
             dists = [basis_distance(m.basis, target) for m in family10.members]

@@ -222,6 +222,10 @@ SIMULATE_PVM_AT = ("simulate", "pvm", "--family", "{dir}/bad.json", "--state", "
     (("simulate", "povm", "--registry", "{dir}/bad.json", "--state", "{dir}/state.json",
       "--targets", "{dir}/targets.json", "--eps", 0.5, "--trials", 10),
      json.dumps({"dim": 2, "entries": saved_layout_registry()["entries"] * 2})),
+    (("simulate", "povm", "--registry", "{dir}/bad.json", "--state", "{dir}/state.json",
+      "--targets", "{dir}/targets.json", "--eps", 0.5, "--trials", 10),
+     json.dumps({"dim": 2, "entries": [dict(saved_layout_registry()["entries"][0], index=m)
+                                       for m in (90, 91)]})),
     (("kscheck", "--fixture", "{dir}/bad.json"),
      json.dumps({"dim": 2, "vectors": [[1, 0], [0, 1]], "resolutions": [[0, 5]]})),
     (("kscheck", "--fixture", "{dir}/bad.json"),
@@ -241,7 +245,8 @@ SIMULATE_PVM_AT = ("simulate", "pvm", "--family", "{dir}/bad.json", "--state", "
     (("simulate", "pvm", "--family", "{dir}/missing.json", "--state", "{dir}/bad.json",
       "--target", "{dir}/target.json", "--eps", 0.5, "--trials", 10), json.dumps(BAD_RE)),
 ], ids=["malformed-json", "missing-file", "targets-without-members", "missing-family",
-        "malformed-registry", "repeated-registry-index", "resolution-index-past-end",
+        "malformed-registry", "repeated-registry-index", "colliding-registry-members",
+        "resolution-index-past-end",
         "resolution-index-not-integer", "resolution-index-negative", "vector-entry-not-a-number",
         "vector-entry-short-pair", "vectors-not-a-list", "basis-orthonormal-only-entrywise",
         "family-mixed-dimensions", "operator-entry-not-a-number", "operator-entries-not-a-list",

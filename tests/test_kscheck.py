@@ -244,6 +244,17 @@ class TestReferenceEquivalence:
         first, index_map = _dedup(ops, SPECTRAL_TOL)
         assert index_map == expected == ([0, 0] if merged else [0, 1])
 
+    def test_dedup_joins_representatives_only(self):
+        # rays at these angles (in units of tol) are as far apart as their
+        # angles differ: 0.9 is within tol of both representatives 0 and 1.2
+        # and joins the first, 2.5 is within tol only of 1.8, which joined 1.2
+        angles = SPECTRAL_TOL * np.array([0.0, 0.6, 1.2, 0.9, 1.8, 0.3, 2.5])
+        ops = np.array(rank_one_projections([[np.cos(a), np.sin(a)] for a in angles]))
+        _, expected = reference_dedup(list(ops), SPECTRAL_TOL)
+        first, index_map = _dedup(ops, SPECTRAL_TOL)
+        assert index_map == expected == [0, 0, 1, 0, 1, 0, 2]
+        assert first == [0, 2, 6]
+
     def test_build_problem_matches_reference_pipeline(self):
         ops = EQUIVALENCE["sphere-14-subset"] + EQUIVALENCE["sphere-14-subset"][:5]
         reps, _ = reference_dedup(ops, SPECTRAL_TOL)

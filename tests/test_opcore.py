@@ -1,11 +1,13 @@
 """Operator-layer oracles: hand-computed values and algebraic invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_density, random_hermitian
+from helpers import random_density, random_hermitian, reference_spectral_distances
 from nchv.basisfamily import random_nearby_basis
 from nchv.errors import DimensionMismatchError, ValidationError
 from nchv import opcore
@@ -30,6 +32,7 @@ from nchv.opcore import (
     operator_norm,
     operator_to_json,
     read_json,
+    spectral_distances,
     spectral_resolution,
     subset_projection,
     validate_resolution,
@@ -55,6 +58,100 @@ class TestOperatorNorm:
         p = np.diag([1.0, 0.0])
         plus = np.full((2, 2), 0.5)
         assert operator_norm(commutator(p, plus)) == pytest.approx(0.5, abs=1e-12)
+
+
+def _near_pairs(n, rng):
+    """Two seeded stacks of Hermitian operators; some items of the second sit
+    within 1e-12 ... 0.1 of an item of the first, one is an exact copy."""
+    first = np.array([random_hermitian(n, rng) for _ in range(10)])
+    second = [random_hermitian(n, rng) for _ in range(4)] + [first[3].copy()]
+    for i, scale in enumerate((1e-12, 1e-9, 1e-6, 1e-3, 0.1)):
+        second.append(first[2 * i] + random_hermitian(n, rng, scale=scale))
+    return first, np.array(second)
+
+
+def _check_against_oracle(got, oracle, reach):
+    rows, cols, dist = got
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
+    assert [oracle[i, j] for i, j in zip(rows.tolist(), cols.tolist())] == dist.tolist()
+    limit = min(oracle.values(), default=np.inf) if reach is None else reach
+    within = {pair for pair, d in oracle.items() if d <= limit}
+    assert within <= set(zip(rows.tolist(), cols.tolist()))
+
+
+class TestSpectralDistances:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("reach", [0.0, 1e-9, 1e-6, 0.05, 1.0, None])
+    def test_pairs_and_distances_match_the_oracle(self, n, reach):
+        first, second = _near_pairs(n, np.random.default_rng(n))
+        oracle = reference_spectral_distances(first, second)
+        _check_against_oracle(spectral_distances(first, second, reach), oracle, reach)
+        stack = np.concatenate([first, second])
+        owners = np.arange(len(stack)) % 4
+        for labels in (None, owners):
+            oracle = reference_spectral_distances(stack, owners=labels)
+            got = spectral_distances(stack, reach=reach, owners=labels)
+            _check_against_oracle(got, oracle, reach)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9])
+    def test_border_pairs_are_decided_by_the_svd(self, n, factor):
+        # D = diag(t, t/2, 0, ...) has |D| = t but |D|_F = 1.118 t and
+        # |D|_F / sqrt(n) <= 0.79 t, so the Frobenius bounds straddle the reach
+        rng = np.random.default_rng(40 + n)
+        u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        t = 1e-3
+        shift = u @ np.diag([t, t / 2] + [0.0] * (n - 2)) @ u.conj().T
+        base = random_hermitian(n, rng)
+        first, second = base[None], (base + shift)[None]
+        reach = factor * operator_norm(base - (base + shift))
+        rows, cols, dist = spectral_distances(first, second, reach)
+        assert (rows.tolist(), cols.tolist()) == ([0], [0])
+        assert (dist[0] <= reach) == (factor > 1)
+
+    def test_duplicates_are_found_without_a_negative_square_root(self):
+        # large entries make the Gram difference of equal operators round
+        # away from 0, below it for some pairs
+        rng = np.random.default_rng(3)
+        ops = [random_hermitian(4, rng, scale=1e3) for _ in range(6)]
+        stack = np.array([ops[i] for i in (0, 1, 0, 2, 1, 3, 4, 5, 0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for reach in (0.0, None):
+                rows, cols, dist = spectral_distances(stack, reach=reach)
+                assert sorted(zip(rows.tolist(), cols.tolist())) == [(2, 0), (4, 1), (8, 0), (8, 2)]
+                assert dist.tolist() == [0.0] * 4
+
+    def test_self_and_same_owner_pairs_are_never_reported(self):
+        half = np.eye(2) / 2
+        other = np.array([[0.5, 0.25], [0.25, 0.5]])
+        stack = np.array([half, half, other, np.eye(2) - other])
+        rows, cols, dist = spectral_distances(stack, reach=10.0, owners=np.array([0, 0, 1, 1]))
+        assert sorted(zip(rows.tolist(), cols.tolist())) == [(2, 0), (2, 1), (3, 0), (3, 1)]
+        floor = spectral_distances(stack, owners=np.array([0, 0, 1, 1]))[2].min()
+        assert floor == pytest.approx(0.25, abs=1e-15)
+        rows, cols, _ = spectral_distances(stack, reach=10.0)
+        assert all(i > j for i, j in zip(rows, cols)) and len(rows) == 6
+
+    @pytest.mark.parametrize("reach", [1e-6, 0.3, None])
+    def test_tuple_items_take_the_largest_member_distance(self, reach):
+        rng = np.random.default_rng(11)
+        first, second = _near_pairs(3, rng)
+        first, second = first.reshape(5, 2, 3, 3), second.reshape(5, 2, 3, 3)
+        oracle = reference_spectral_distances(first, second)
+        _check_against_oracle(spectral_distances(first, second, reach), oracle, reach)
+
+    @pytest.mark.parametrize("reach", [1e-6, 0.5, None])
+    def test_chunks_change_nothing(self, monkeypatch, reach):
+        first, second = _near_pairs(3, np.random.default_rng(12))
+        stack = np.concatenate([first, second, first[:4]])
+        owners = np.arange(len(stack)) % 5
+        calls = [(stack, None, owners), (stack, None, None), (first, second, None)]
+        whole = [spectral_distances(a, b, reach, o) for a, b, o in calls]
+        monkeypatch.setattr(opcore, "PAIR_CHUNK", 7)
+        for (a, b, o), want in zip(calls, whole):
+            got = spectral_distances(a, b, reach, o)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 class TestProjectionAndDensity:
@@ -196,9 +293,10 @@ class TestBasis:
         # the metric lives on ordered bases: a swap (eigenvalue -1) is
         # maximally far, a 3-cycle sits at |1 - e^{2pi i/3}| = sqrt(3)
         b1 = OrthonormalBasis(np.eye(2))
-        assert basis_distance(b1, b1.permuted([1, 0])) == pytest.approx(2.0, abs=1e-12)
+        swapped = OrthonormalBasis(b1.mat[:, [1, 0]])
+        assert basis_distance(b1, swapped) == pytest.approx(2.0, abs=1e-12)
         c1 = OrthonormalBasis(np.eye(3))
-        assert basis_distance(c1, c1.permuted([1, 2, 0])) == pytest.approx(
+        assert basis_distance(c1, OrthonormalBasis(c1.mat[:, [1, 2, 0]])) == pytest.approx(
             np.sqrt(3), abs=1e-12
         )
 

@@ -17,7 +17,7 @@ from helpers import (
     reference_semidefinite,
     saved_layout_registry,
 )
-from nchv import povmfamily
+from nchv import opcore, povmfamily
 from nchv.errors import (
     PrecisionError,
     RegistryCollisionError,
@@ -419,6 +419,56 @@ class TestRegistry:
         )
         assert fast == pytest.approx(slow, abs=1e-12)
 
+    def test_min_cross_distance_on_a_round_robin_registry(self):
+        """Three bases registered in turn from index 60 until the guard fires:
+        cross-member distances near the 1e-9 floor, far below the members'
+        norms, where a Frobenius table without a roundoff margin misorders pairs."""
+        rng = np.random.default_rng(18)
+        bases = [self._base(rng) for _ in range(3)]
+        reg = ResolutionRegistry(2)
+        with pytest.raises(RegistryCollisionError):
+            for t in range(100):
+                reg.register(bases[t % 3], 4 * (math.pi / 4) ** 60)
+        assert reg.entries[0].index == 60 and len(reg) > 10
+        slow = min(
+            operator_norm(a - b)
+            for i, first in enumerate(reg.entries)
+            for second in reg.entries[:i]
+            for a in first.members
+            for b in second.members
+        )
+        assert reg.min_cross_member_distance() == pytest.approx(slow, rel=1e-15, abs=0)
+
+    def test_members_of_one_resolution_do_not_set_the_floor(self):
+        # {A, A, B, B} with A + B = I/2: equal members inside one resolution
+        a = rational([[0.25, 0.125], [0.125, 0.25]])
+        b = rational([[0.25, -0.125], [-0.125, 0.25]])
+        base = RationalResolution((a, a, b, b))
+        reg = ResolutionRegistry(2)
+        reg.register(base, 0.5)
+        assert reg.min_cross_member_distance() == math.inf
+        reg.register(base, 0.5)
+        slow = min(operator_norm(x - y) for x in reg.entries[0].members
+                   for y in reg.entries[1].members)
+        assert reg.min_cross_member_distance() == pytest.approx(slow, rel=1e-15) and slow > 0
+
+    def test_load_refuses_colliding_members(self):
+        # one base at indices 90 and 91: its members differ by about 1e-11
+        obj = saved_layout_registry()
+        entry = obj["entries"][0]
+        obj["entries"] = [dict(entry, index=90), dict(entry, index=91)]
+        with pytest.raises(RegistryCollisionError, match="index 91 coincides with one of index 90$"):
+            ResolutionRegistry.from_json(obj)
+
+    def test_register_and_load_hold_the_same_member_stack(self, tmp_path):
+        reg = self._mixed_registry()
+        reg.save(tmp_path / "registry.json")
+        again = ResolutionRegistry.load(tmp_path / "registry.json")
+        members = np.array([m for e in reg.entries for m in e.members])
+        owners = [e.index for e in reg.entries for _ in e.members]
+        for r in (reg, again):
+            assert np.array_equal(r._members, members) and r._owners.tolist() == owners
+
     def _mixed_registry(self):
         rng = np.random.default_rng(22)
         reg = ResolutionRegistry(2)
@@ -461,13 +511,13 @@ class TestRegistry:
     def test_far_miss_runs_no_svd(self, monkeypatch):
         reg = self._mixed_registry()
         calls = []
-        real = povmfamily.spectral_norms
+        real = opcore.spectral_norms
 
         def counted(stack):
             calls.append(len(stack))
             return real(stack)
 
-        monkeypatch.setattr(povmfamily, "spectral_norms", counted)
+        monkeypatch.setattr(opcore, "spectral_norms", counted)
         eps = 1e-3
         # every entry sits farther than eps * sqrt(n) in Frobenius norm
         far = [m + 0.1 * np.eye(2) for m in reg.entries[0].members]
