@@ -86,7 +86,7 @@ def dagger(op: np.ndarray) -> np.ndarray:
 
 def operator_norm(op) -> float:
     """Largest singular value; for Hermitian input this is max |eigenvalue|."""
-    return float(np.linalg.norm(as_operator(op), 2))
+    return float(spectral_norms(as_operator(op)))
 
 
 def spectral_norms(stack: np.ndarray) -> np.ndarray:
@@ -306,17 +306,19 @@ def validate_resolution(ops) -> bool:
 
     Positivity means Hermitian with min eigenvalue >= -ALGEBRA_TOL; the sum
     must satisfy |sum - I| <= SPECTRAL_TOL in spectral norm. Malformed shapes
-    raise; everything else reports False rather than erroring.
+    raise; everything else reports False rather than erroring. One
+    Hermitian test and one ``eigvalsh`` run over the whole (k, n, n) stack.
     """
     mats = [as_operator(o) for o in ops]
     if not mats:
         return False
     n = require_same_dim(*mats)
-    for mat in mats:
-        if not is_hermitian(mat, tol=1e-10):
-            return False
-        if np.linalg.eigvalsh((mat + dagger(mat)) / 2).min() < -ALGEBRA_TOL:
-            return False
+    stack = np.array(mats)
+    adjoint = stack.conj().swapaxes(-1, -2)
+    if not np.abs(stack - adjoint).max() <= 1e-10:
+        return False
+    if np.linalg.eigvalsh((stack + adjoint) / 2).min() < -ALGEBRA_TOL:
+        return False
     gap = sum(mats) - np.eye(n)
     return operator_norm(gap) <= SPECTRAL_TOL
 

@@ -7,17 +7,21 @@ are conjugated by a phase tag diag(e^{i theta_m}, 1, ..., 1) with
 sin(theta_m) = (pi/4)**m, one fresh index m per registration, which keeps
 any two registered resolutions from sharing a member.
 
-The rational side is exact: a RationalOperator is a pair of integer
-matrices (real and imaginary numerators, Python integers that never wrap)
-over one shared denominator kept in lowest terms. Snapping rounds onto a
-power-of-two grid, so sums and products keep small denominators. numpy
-enters the float side only when a rational operator is projected down to
-floats.
+The rational side is exact: a RationalOperator holds the real and the
+imaginary numerators as row tuples of Python integers, which never wrap,
+over one shared denominator kept in lowest terms. Positivity is certified
+by one pivoted fraction-free elimination on the n x n Gaussian-integer
+numerator matrix. Snapping rounds onto a power-of-two grid, so sums and
+products keep small denominators. Floats enter only where a float matrix
+is rounded onto the grid and where a rational operator is projected down
+to floats.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,32 +67,43 @@ __all__ = [
     "sample_povm_outcomes",
 ]
 
-_to_int = np.frompyfunc(int, 1, 1)
+
+def _dot(xs, ys):
+    return sum(map(operator.mul, xs, ys))
+
+
+def _grid_scaled(mat, bits):
+    """Real and imaginary parts of ``mat`` times 2**bits, all finite or ValidationError."""
+    with np.errstate(over="ignore"):
+        parts = mat.real * 2.0**bits, mat.imag * 2.0**bits
+    if not all(np.isfinite(part).all() for part in parts):
+        raise ValidationError(f"cannot rationalize an entry not finite on the 2**-{bits} grid")
+    return parts
 
 
 class RationalOperator:
     """Immutable square matrix (re + i im) / den over the complex rationals.
 
-    ``re`` and ``im`` are read-only object arrays of Python integers and
-    ``den`` is a positive integer sharing no factor with all of them, so
-    every operator has one canonical form however it was computed.
+    ``re`` and ``im`` are row tuples of Python integers and ``den`` is a
+    positive integer sharing no factor with all of them, so every operator
+    has one canonical form however it was computed.
     """
 
     __slots__ = ("n", "re", "im", "den")
 
     def __init__(self, re, im, den=1):
-        re = np.array(re, dtype=object)
-        im = np.array(im, dtype=object)
+        re = tuple([tuple(map(int, row)) for row in re])
+        im = tuple([tuple(map(int, row)) for row in im])
         n = len(re)
-        if n == 0 or re.shape != (n, n) or im.shape != (n, n):
+        if len(im) != n or set(map(len, re + im)) != {n}:
             raise ValidationError("rational operator must be square and nonempty")
         if den <= 0:
             raise ValidationError("rational operator denominator must be positive")
-        g = math.gcd(den, *re.flat, *im.flat)
+        g = math.gcd(den, *map(math.gcd, *re, *im))
         if g != 1:
-            re, im, den = re // g, im // g, den // g
-        re.setflags(write=False)
-        im.setflags(write=False)
+            re = tuple(tuple(x // g for x in row) for row in re)
+            im = tuple(tuple(x // g for x in row) for row in im)
+            den //= g
         for name, value in (("n", n), ("re", re), ("im", im), ("den", den)):
             object.__setattr__(self, name, value)
 
@@ -99,11 +114,12 @@ class RationalOperator:
 
     @classmethod
     def zeros(cls, n):
-        return cls(np.zeros((n, n), dtype=object), np.zeros((n, n), dtype=object))
+        return cls([[0] * n] * n, [[0] * n] * n)
 
     @classmethod
+    @functools.cache
     def identity(cls, n):
-        return cls(np.eye(n, dtype=object), np.zeros((n, n), dtype=object))
+        return cls([[int(a == b) for b in range(n)] for a in range(n)], [[0] * n] * n)
 
     @classmethod
     def from_float(cls, mat):
@@ -112,16 +128,12 @@ class RationalOperator:
         Floats already on that grid convert exactly; every other entry moves
         by at most half a grid step in its real and in its imaginary part.
         """
-        m = as_operator(mat)
-        if not np.isfinite(m).all():
-            raise ValidationError("cannot rationalize a non-finite entry")
-        return cls._on_grid(m, _CAP_BITS)
+        return cls._on_grid(as_operator(mat), _CAP_BITS)
 
     @classmethod
     def _on_grid(cls, mat, bits):
-        scale = 2.0**bits
-        return cls(_to_int(np.rint(mat.real * scale)), _to_int(np.rint(mat.imag * scale)),
-                   2**bits)
+        re, im = _grid_scaled(mat, bits)
+        return cls(np.rint(re), np.rint(im), 2**bits)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -133,7 +145,11 @@ class RationalOperator:
         self._require_same(other)
         den = math.lcm(self.den, other.den)
         a, b = den // self.den, sign * (den // other.den)
-        return RationalOperator(a * self.re + b * other.re, a * self.im + b * other.im, den)
+
+        def combine(xs, ys):
+            return [[a * x + b * y for x, y in zip(rx, ry)] for rx, ry in zip(xs, ys)]
+
+        return RationalOperator(combine(self.re, other.re), combine(self.im, other.im), den)
 
     def __add__(self, other):
         return self._add(other, 1)
@@ -143,23 +159,27 @@ class RationalOperator:
 
     def __matmul__(self, other):
         self._require_same(other)
-        return RationalOperator(self.re @ other.re - self.im @ other.im,
-                                self.re @ other.im + self.im @ other.re, self.den * other.den)
+        cols = tuple(zip(zip(*other.re), zip(*other.im)))
+        re = [[_dot(ar, cr) - _dot(ai, ci) for cr, ci in cols] for ar, ai in zip(self.re, self.im)]
+        im = [[_dot(ar, ci) + _dot(ai, cr) for cr, ci in cols] for ar, ai in zip(self.re, self.im)]
+        return RationalOperator(re, im, self.den * other.den)
 
     def scale(self, factor):
         f = Fraction(factor)
-        return RationalOperator(f.numerator * self.re, f.numerator * self.im,
-                                f.denominator * self.den)
+        a = f.numerator
+        return RationalOperator([[a * x for x in row] for row in self.re],
+                                [[a * x for x in row] for row in self.im], f.denominator * self.den)
 
     def dagger(self):
-        return RationalOperator(self.re.T, -self.im.T, self.den)
+        return RationalOperator(zip(*self.re), ([-x for x in col] for col in zip(*self.im)),
+                                self.den)
 
     def __eq__(self, other):
         return (isinstance(other, RationalOperator) and self.den == other.den
-                and np.array_equal(self.re, other.re) and np.array_equal(self.im, other.im))
+                and self.re == other.re and self.im == other.im)
 
     def __hash__(self):
-        return hash((self.n, self.den, tuple(self.re.flat), tuple(self.im.flat)))
+        return hash((self.n, self.den, self.re, self.im))
 
     # -- queries -----------------------------------------------------------
 
@@ -172,37 +192,65 @@ class RationalOperator:
         )
 
     def entry(self, a, b):
-        return Fraction(self.re[a, b], self.den), Fraction(self.im[a, b], self.den)
+        return Fraction(self.re[a][b], self.den), Fraction(self.im[a][b], self.den)
 
     def is_hermitian(self) -> bool:
-        return np.array_equal(self.re, self.re.T) and np.array_equal(self.im, -self.im.T)
+        return (self.re == tuple(zip(*self.re))
+                and all(x == -y for row, col in zip(self.im, zip(*self.im))
+                        for x, y in zip(row, col)))
 
     def all_entries_nonzero(self) -> bool:
-        return bool(((self.re != 0) | (self.im != 0)).all())
+        return all(x or y for rx, ry in zip(self.re, self.im) for x, y in zip(rx, ry))
 
     def _certificate(self) -> bool:
         """Positive semidefiniteness of a Hermitian operator.
 
-        Pivoted fraction-free symmetric elimination (Bareiss) on the integer
-        embedding [[A, -B], [B, A]] of den * (A + iB), which carries every
-        eigenvalue of the operator twice. The pivot is the largest remaining
-        diagonal entry; every entry stays an integer minor. A negative
-        diagonal refutes, and a zero largest diagonal requires the whole
-        remaining block to vanish.
+        Pivoted fraction-free symmetric elimination (Bareiss) on the n x n
+        Gaussian-integer matrix M = re + i im = den (A + iB). Each step takes
+        as pivot p the largest remaining diagonal entry d, which is real
+        because M is Hermitian, drops row and column p, and updates the rest
+        as M[i][j] <- (d M[i][j] - M[i][p] M[p][j]) / prev, where prev is the
+        previous pivot (1 at the start).
+
+        Why the division is exact: after pivots p_1..p_s, entry (i, j) equals
+        the minor of the original M on rows {p_1..p_s, i} and columns
+        {p_1..p_s, j}. This is Sylvester's determinant identity, the
+        invariant of Bareiss' scheme, and the update above is that identity
+        applied to the bordered minors. A minor of a Gaussian-integer matrix
+        is a Gaussian integer, and prev is a principal minor of a Hermitian
+        matrix, hence a real integer, so the real and the imaginary part of
+        the numerator are each divisible by prev.
+
+        Why it decides positivity: the remaining block is (d / prev) times
+        the Schur complement of the pivot, so it stays Hermitian and is
+        positive semidefinite exactly when the block before the step was,
+        given d > 0. A negative diagonal entry refutes positivity, and when
+        the largest diagonal entry is zero the block is positive
+        semidefinite only if it vanishes. Only the upper triangle is
+        computed; the lower one is its conjugate.
         """
-        m = np.block([[self.re, -self.im], [self.im, self.re]])
+        re = [list(row) for row in self.re]
+        im = [list(row) for row in self.im]
+        live = list(range(self.n))
         prev = 1
-        while len(m):
-            diag = m.diagonal()
-            p = int(np.argmax(diag))
-            if diag.min() < 0:
+        while live:
+            diag = [re[i][i] for i in live]
+            if min(diag) < 0:
                 return False
-            if diag[p] == 0:
-                return not (m != 0).any()
-            keep = np.arange(len(m)) != p
-            col = m[keep, p]
-            m = (diag[p] * m[np.ix_(keep, keep)] - np.outer(col, col)) // prev
-            prev = diag[p]
+            d = max(diag)
+            if d == 0:
+                return not any(re[i][j] or im[i][j] for i in live for j in live)
+            p = live.pop(diag.index(d))
+            rp, ip = re[p], im[p]
+            for x, i in enumerate(live):
+                ri, ii = re[i], im[i]
+                a, b = ri[p], ii[p]
+                for j in live[x:]:
+                    c, e = rp[j], ip[j]
+                    ri[j] = r = (d * ri[j] - a * c + b * e) // prev
+                    ii[j] = s = (d * ii[j] - a * e - b * c) // prev
+                    re[j][i], im[j][i] = r, -s
+            prev = d
         return True
 
     def is_positive_semidefinite(self) -> bool:
@@ -211,8 +259,9 @@ class RationalOperator:
 
     def to_complex(self) -> np.ndarray:
         # int / int is correctly rounded however large the integers grow
-        out = (self.re / self.den).astype(complex)
-        out.imag = (self.im / self.den).astype(float)
+        out = np.empty((self.n, self.n), dtype=complex)
+        out.real = [[x / self.den for x in row] for row in self.re]
+        out.imag = [[x / self.den for x in row] for row in self.im]
         return out
 
     # -- serialization -----------------------------------------------------
@@ -312,12 +361,13 @@ class RationalResolution:
         return cls(members)
 
 
+@functools.cache
 def _positive_bump(n: int) -> RationalOperator:
     # I + J/2**c with 2**c >= 2n: positive definite, every entry nonzero,
     # spectral norm 1 + n/2**c <= 3/2, and a power-of-two denominator
     c = (2 * n - 1).bit_length()
-    return RationalOperator(np.eye(n, dtype=object) * 2**c + 1, np.zeros((n, n), dtype=object),
-                            2**c)
+    return RationalOperator([[2**c * (a == b) + 1 for b in range(n)] for a in range(n)],
+                            [[0] * n] * n, 2**c)
 
 
 def rationalize_po(target, delta: float) -> RationalOperator:
@@ -334,8 +384,10 @@ def rationalize_po(target, delta: float) -> RationalOperator:
     nonzero coefficient, so at most n**2 weights can zero an entry and
     n**2 + 1 candidates always suffice.
 
-    Raises PrecisionError when the achieved distance is not below delta,
-    which happens once delta undercuts the denominator cap's resolution.
+    Raises ValidationError when an entry is too large to scale onto the
+    DEFAULT_DENOMINATOR_CAP grid, and PrecisionError when the achieved
+    distance is not below delta, which happens once delta undercuts the
+    denominator cap's resolution.
     """
     mat = as_operator(target)
     n = mat.shape[0]
@@ -343,13 +395,15 @@ def rationalize_po(target, delta: float) -> RationalOperator:
         raise ValidationError("delta must be positive")
     if not is_hermitian(mat, tol=1e-9):
         raise ValidationError("target must be Hermitian within 1e-9")
+    re, im = _grid_scaled(mat, _CAP_BITS)
     w, v = np.linalg.eigh((mat + dagger(mat)) / 2)
     if w.min() < -1e-8:
         raise ValidationError("target must be positive within tolerance")
 
-    exact = RationalOperator.from_float(mat)
-    if np.array_equal(exact.to_complex(), mat) and is_admissible(exact):
-        return exact
+    if np.array_equal(np.rint(re), re) and np.array_equal(np.rint(im), im):
+        exact = RationalOperator.from_float(mat)
+        if is_admissible(exact):
+            return exact
 
     w = np.clip(w, 0.0, None)
     factor = (np.sqrt(w)[:, None]) * dagger(v)
@@ -567,6 +621,7 @@ class ResolutionRegistry:
         self.entries: list[TaggedResolution] = []
         self._used: set[int] = set()
         self._members, self._owners = np.empty((0, dim, dim), dtype=complex), np.empty(0, np.int64)
+        self._sizes = np.empty(0, np.int64)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -595,6 +650,7 @@ class ResolutionRegistry:
     def _append(self, tagged: TaggedResolution) -> None:
         self._members = np.concatenate([self._members, tagged.members])
         self._owners = np.append(self._owners, [tagged.index] * tagged.k)
+        self._sizes = np.append(self._sizes, tagged.k)
         self.entries.append(tagged)
         self._used.add(tagged.index)
 
@@ -608,13 +664,15 @@ class ResolutionRegistry:
         """Registered resolutions whose members match ``targets`` indexwise within eps."""
         mats = [as_operator(t) for t in targets]
         n = require_same_dim(*mats)
-        pool = [e for e in self.entries if e.k == len(mats) and e.dim == n]
-        if not pool:
+        if n != self.dim:
             return []
-        ks = np.array([e.k for e in self.entries])
-        held = self._members[np.repeat(ks == len(mats), ks)].reshape(len(pool), len(mats), n, n)
+        same = self._sizes == len(mats)
+        pool = np.flatnonzero(same)
+        if not len(pool):
+            return []
+        held = self._members[np.repeat(same, self._sizes)].reshape(len(pool), len(mats), n, n)
         _, cols, dist = spectral_distances(np.array(mats)[None], held, eps)
-        return [pool[i] for i in cols[dist < eps]]
+        return [self.entries[i] for i in pool[cols[dist < eps]]]
 
     def min_cross_member_distance(self) -> float:
         """Smallest spectral distance between members of distinct resolutions."""

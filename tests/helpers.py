@@ -1,5 +1,6 @@
 """Random quantum objects for tests; every function takes an explicit rng."""
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -101,29 +102,43 @@ def reference_block_assignment(values, n):
 
 
 def reference_minor(rows, idx):
-    """Leibniz determinant of the principal submatrix of ``rows`` on ``idx``.
+    """Determinant of the principal submatrix of ``rows`` on ``idx``.
 
-    ``rows`` holds (re, im) Fraction pairs; returns an (re, im) pair.
+    ``rows`` holds (re, im) pairs of integers or Fractions; returns an (re, im)
+    pair. Laplace expansion along the first remaining row, memoized on the
+    set of columns left, so an s x s minor costs about s 2**s products and no
+    division.
     """
-    total_re, total_im = Fraction(0), Fraction(0)
-    for perm in permutations(range(len(idx))):
-        inversions = sum(perm[a] > perm[b] for a, b in combinations(range(len(perm)), 2))
-        re, im = Fraction((-1) ** inversions), Fraction(0)
-        for a, b in enumerate(perm):
-            x, y = rows[idx[a]][idx[b]]
-            re, im = re * x - im * y, re * y + im * x
-        total_re, total_im = total_re + re, total_im + im
-    return total_re, total_im
+    @functools.cache
+    def det(cols):
+        if not cols:
+            return 1, 0
+        row = rows[idx[len(idx) - len(cols)]]
+        total_re = total_im = 0
+        for k, c in enumerate(cols):
+            x, y = row[c]
+            if x or y:
+                re, im = det(cols[:k] + cols[k + 1:])
+                sign = -1 if k % 2 else 1
+                total_re += sign * (x * re - y * im)
+                total_im += sign * (x * im + y * re)
+        return total_re, total_im
+
+    return det(tuple(idx))
 
 
 def reference_semidefinite(rows):
     """Positive semidefiniteness of a Hermitian matrix of (re, im) Fraction pairs.
 
-    Sylvester's criterion: every principal minor is nonnegative.
+    Sylvester's criterion: every principal minor is nonnegative. The minors
+    are taken of the matrix times the common denominator of its entries,
+    which scales each by a positive factor and leaves integer entries.
     """
     n = len(rows)
+    den = math.lcm(*(q.denominator for row in rows for entry in row for q in entry))
+    ints = [[(int(re * den), int(im * den)) for re, im in row] for row in rows]
     subsets = [idx for size in range(1, n + 1) for idx in combinations(range(n), size)]
-    return all(reference_minor(rows, idx)[0] >= 0 for idx in subsets)
+    return all(reference_minor(ints, idx)[0] >= 0 for idx in subsets)
 
 
 def _rational_json(q):

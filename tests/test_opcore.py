@@ -412,6 +412,36 @@ class TestValidateResolution:
     def test_negative_member_fails(self):
         assert not validate_resolution([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
 
+    @pytest.mark.parametrize("kind, size, expected", [
+        ("skew", 5e-11, True), ("skew", 2e-10, False),
+        ("dip", 5e-11, True), ("dip", 2e-10, False),
+        ("gap", 5e-10, True), ("gap", 2e-9, False),
+        ("nan", 1.0, False),
+    ])
+    def test_batched_pass_matches_member_by_member(self, kind, size, expected):
+        """Each tolerance decides as it would one member at a time, with the
+        offending change made to the last member only."""
+        last = np.eye(3) / 3
+        if kind == "skew":
+            last = last + size * np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+        elif kind == "dip":
+            last = np.diag([-size, 1 / 3, 1 / 3])
+        elif kind == "gap":
+            last = last + size * np.eye(3)
+        else:
+            last = last + np.diag([np.nan, 0, 0])
+        ops = [np.eye(3) / 3, np.eye(3) / 3 + (kind == "dip") * np.diag([1 / 3 + size, 0, 0]), last]
+
+        def member_by_member():
+            for m in ops:
+                if not np.abs(m - m.conj().T).max() <= 1e-10:
+                    return False
+                if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -1e-10:
+                    return False
+            return operator_norm(sum(ops) - np.eye(3)) <= 1e-9
+
+        assert validate_resolution(ops) == member_by_member() == expected
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_random_density_spectral_family(self, seed):

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -113,23 +114,39 @@ class TestRationalOperator:
 
 @st.composite
 def hermitian_integer_matrices(draw):
-    """(re, im, den) of a Hermitian matrix with integer numerators, n <= 5."""
-    n = draw(st.integers(1, 5))
-    kind = draw(st.sampled_from(["random", "rank-deficient", "gram", "zero-diagonal", "zero"]))
+    """(re, im, den) of a Hermitian matrix with integer numerators, n <= 8.
 
-    def ints(rows):
-        return np.array(draw(st.lists(st.integers(-4, 4), min_size=rows * n,
-                                      max_size=rows * n)), dtype=np.int64).reshape(rows, n)
+    Numerators are small or, as real snaps produce, near 2**50: Gram
+    matrices X*X get X entries near 2**25. Near-singular cases are X*X of
+    rank below n, and X*X with the smallest nonzero step taken off one
+    diagonal entry or off all of them.
+    """
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "rank-deficient", "gram", "gram-minus-step",
+                                 "zero-diagonal", "zero"]))
+    big = draw(st.booleans())
 
-    if kind in ("rank-deficient", "gram"):
+    def ints(rows, bits):
+        small = st.integers(-4, 4)
+        near = st.integers(2**bits - 4, 2**bits + 4)
+        entry = (small | near | near.map(lambda x: -x)) if big else small
+        return np.array(draw(st.lists(entry, min_size=rows * n, max_size=rows * n)),
+                        dtype=object).reshape(rows, n)
+
+    if kind in ("rank-deficient", "gram", "gram-minus-step"):
         # X*X with X of fewer rows than columns has rank below n
-        rows = draw(st.integers(0, n - 1)) if kind == "rank-deficient" else n + 1
-        xr, xi = ints(rows), ints(rows)
+        rows = {"rank-deficient": draw(st.integers(0, n - 1)), "gram": n + 1,
+                "gram-minus-step": draw(st.integers(0, n))}[kind]
+        xr, xi = ints(rows, 25), ints(rows, 25)
         re, im = xr.T @ xr + xi.T @ xi, xr.T @ xi - xi.T @ xr
+        if kind == "gram-minus-step":
+            where = draw(st.integers(-1, n - 1))
+            for i in range(n) if where < 0 else [where]:
+                re[i, i] -= 1
     elif kind == "zero":
-        re = im = np.zeros((n, n), dtype=np.int64)
+        re = im = np.zeros((n, n), dtype=object)
     else:
-        a, b = ints(n), ints(n)
+        a, b = ints(n, 50), ints(n, 50)
         re, im = a + a.T, b - b.T
         if kind == "zero-diagonal":
             np.fill_diagonal(re, 0)
@@ -216,6 +233,48 @@ class TestExactRepresentation:
         with pytest.raises(ValidationError):
             RationalOperator.from_float(np.array([[0.5, bad], [bad, 0.5]]))
 
+    @pytest.mark.parametrize("huge", [1e300, -1e300, 1e300j])
+    def test_from_float_rejects_entries_that_overflow_the_grid(self, huge):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                RationalOperator.from_float(np.array([[huge, 0], [0, 1.0]]))
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_arithmetic_lands_on_the_constructed_value(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+
+        def draw():
+            return RationalOperator(rng.integers(-9, 10, (n, n)), rng.integers(-9, 10, (n, n)),
+                                    int(rng.integers(1, 13)))
+
+        def built(entries):
+            # public constructor on a common, unreduced denominator
+            den = 2 * math.lcm(*(q.denominator for row in entries for e in row for q in e))
+            return RationalOperator([[int(e[0] * den) for e in row] for row in entries],
+                                    [[int(e[1] * den) for e in row] for row in entries], den)
+
+        def mul(u, v):
+            return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+        x, y = draw(), draw()
+        f = F(int(rng.integers(-5, 6)), int(rng.integers(1, 7)))
+        a, b, r = x.rows, y.rows, range(n)
+        cases = [
+            (x + y, [[(a[i][j][0] + b[i][j][0], a[i][j][1] + b[i][j][1]) for j in r] for i in r]),
+            (x - y, [[(a[i][j][0] - b[i][j][0], a[i][j][1] - b[i][j][1]) for j in r] for i in r]),
+            (x @ y, [[tuple(map(sum, zip(*(mul(a[i][t], b[t][j]) for t in r)))) for j in r]
+                     for i in r]),
+            (x.scale(f), [[(f * a[i][j][0], f * a[i][j][1]) for j in r] for i in r]),
+            (x.dagger(), [[(a[j][i][0], -a[j][i][1]) for j in r] for i in r]),
+        ]
+        for got, entries in cases:
+            want = built(entries)
+            assert got == want and hash(got) == hash(want)
+            assert all(type(v) is int for part in (got.re, got.im) for row in part for v in row)
+
 
 class TestRationalizePo:
     def test_admissible_dyadic_target_returned_unchanged(self):
@@ -251,6 +310,13 @@ class TestRationalizePo:
                                 lambda a, *args, real=real, **kw: calls.append(1) or real(a, *args, **kw))
         rationalize_po(target, delta=1e-3)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("huge", [1e300, 1e299])
+    def test_entries_that_overflow_the_grid_rejected(self, huge):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                rationalize_po(np.diag([huge, 1.0]), 1e-3)
 
     def test_non_positive_target_rejected(self):
         with pytest.raises(ValidationError):
