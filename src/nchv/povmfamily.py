@@ -486,12 +486,18 @@ def snap_resolution(targets, eps: float, return_diagnostics: bool = False):
     k = len(mats)
     if k < 2:
         raise ValidationError("need at least two targets")
-    n = require_same_dim(*mats)
+    require_same_dim(*mats)
     if eps <= 0:
         raise ValidationError("eps must be positive")
     if not validate_resolution(mats):
         raise ValidationError("targets are not a positive-operator resolution of the identity")
+    resolution, diagnostics = _snap(mats, eps)
+    return (resolution, diagnostics) if return_diagnostics else resolution
 
+
+def _snap(mats, eps: float) -> tuple[RationalResolution, SnapDiagnostics]:
+    """``snap_resolution``'s recipe on targets already proved a resolution of k >= 2 members."""
+    k, n = len(mats), len(mats[0])
     bound = Fraction(eps).limit_denominator(10**6) * Fraction(3, 4)
     while not (0 < bound and float(bound) < eps):
         bound /= 2
@@ -533,15 +539,13 @@ def snap_resolution(targets, eps: float, return_diagnostics: bool = False):
     if not max_shift < eps:
         raise PrecisionError(f"snap moved a member by {max_shift:.3e}, not below eps {eps:.3e}")
 
-    if return_diagnostics:
-        return resolution, SnapDiagnostics(
-            rational_bound=bound,
-            per_member_delta=delta,
-            mix_weights=tuple(weights),
-            max_member_shift=max_shift,
-            sum_gap_within_bound=gap_ok,
-        )
-    return resolution
+    return resolution, SnapDiagnostics(
+        rational_bound=bound,
+        per_member_delta=delta,
+        mix_weights=tuple(weights),
+        max_member_shift=max_shift,
+        sum_gap_within_bound=gap_ok,
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .basisfamily import BasisFamily, FamilyMember
 from .errors import (
@@ -53,7 +52,7 @@ from .povmfamily import (
     ResolutionRegistry,
     TaggedResolution,
     _povm_weights,
-    snap_resolution,
+    _snap,
 )
 
 __all__ = [
@@ -94,8 +93,8 @@ class MeasurementRequest:
             if self.observable is None:
                 raise ValidationError("projective request needs an observable")
         else:
-            if not self.povm_targets:
-                raise ValidationError("positive-operator request needs target operators")
+            if len(self.povm_targets or ()) < 2:
+                raise ValidationError("positive-operator request needs at least two targets")
             if not validate_resolution(self.povm_targets):
                 raise ValidationError("targets are not a positive-operator resolution")
 
@@ -173,6 +172,81 @@ def joint_probability(density, first, second) -> float:
     return float(np.trace(d @ p @ q).real)
 
 
+def _assignment(cost: list[list[float]]) -> list[int]:
+    """Column of each row in a minimum-cost perfect matching of a square cost matrix.
+
+    Shortest augmenting paths with dual variables (Crouse, IEEE TAES 52,
+    2016), ported from scipy's ``rectangular_lsap`` step for step: the same
+    row order, the unscanned columns kept in a list filled in reverse and
+    compacted by moving the last into the scanned slot, and the same tie
+    rule, which prefers an unassigned column. The floating-point operations
+    are the same too, so ties resolve to scipy's columns.
+    """
+    n = len(cost)
+    inf = float("inf")
+    u, v = [0.0] * n, [0.0] * n
+    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        i, min_val, sink = cur, 0.0, -1
+        remaining = list(range(n - 1, -1, -1))
+        seen_rows, seen_cols = [False] * n, [False] * n
+        short = [inf] * n
+        while sink == -1:
+            index, lowest = -1, inf
+            seen_rows[i] = True
+            row, u_i = cost[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                s = short[j]
+                if r < s:
+                    path[j] = i
+                    short[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest = s
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in range(n):
+            if seen_rows[i] and i != cur:
+                u[i] += min_val - short[col4row[i]]
+        for j in range(n):
+            if seen_cols[j]:
+                v[j] -= min_val - short[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
+def _max_overlap_columns(overlap: np.ndarray) -> np.ndarray:
+    """``_assignment`` on the cost ``-overlap[m]`` of every matrix of an (M, n, n) stack.
+
+    Where every column holds exactly one row maximum, each row has one
+    largest entry and no two rows share its column (n rows, each with at
+    least one maximum, fill the n columns once). Those columns are then the
+    answer without the solver: each row's first scan finds its cheapest
+    column free, so every augmenting path ends at once and the dual
+    variables of the columns stay 0.
+    """
+    at_max = overlap == overlap.max(axis=2, keepdims=True)
+    best = at_max.argmax(axis=2)
+    for m in np.flatnonzero((at_max.sum(axis=1) != 1).any(axis=1)):
+        best[m] = _assignment((-overlap[m]).tolist())
+    return best
+
+
 def pvm_candidates(observable: HermitianObservable, family: BasisFamily | None,
                    precision: float):
     """All family members realizable within ``precision``, plus the nearest miss.
@@ -221,7 +295,7 @@ def pvm_candidates(observable: HermitianObservable, family: BasisFamily | None,
             # pv[m, i, :, j] = P_i v_j for the j-th vector of member m
             pv = np.matmul(projs, sub[:, None])
             overlap = np.einsum("maj,miaj->mij", sub.conj(), pv).real
-            perm = np.array([linear_sum_assignment(-o)[1] for o in overlap])
+            perm = _max_overlap_columns(overlap)
             rows = np.arange(len(todo))[:, None]
             # resid[m, i] = v - P_i v for the vector v that member m assigns to label i
             resid = sub[rows, :, perm] - pv[rows, np.arange(n), :, perm]
@@ -254,7 +328,8 @@ def _povm_realizations(request: MeasurementRequest,
     A cache hit is any registered resolution whose members sit within the
     requested precision of the targets, indexwise. On a miss the targets
     are snapped and registered, the budget split evenly between snapping
-    and the phase tag, and the new entry is the only candidate.
+    and the phase tag, and the new entry is the only candidate. The request
+    has already proved its targets a resolution, so the snap skips that check.
     """
     if registry is None:
         raise ValidationError("positive-operator request needs a registry in the context")
@@ -262,7 +337,8 @@ def _povm_realizations(request: MeasurementRequest,
     if cands:
         return cands
     half = request.precision / 2.0
-    return [registry.register(snap_resolution(request.povm_targets, half), half)]
+    resolution, _ = _snap(request.povm_targets, half)
+    return [registry.register(resolution, half)]
 
 
 def realize_pvm(request: MeasurementRequest, family: BasisFamily | None,
@@ -292,29 +368,53 @@ def _realized_distances(targets, cands) -> list[float]:
     return [float(d) for d in spectral_norms(diff).max(axis=1)]
 
 
+# trials per block of uniforms: 8192 float64 are 64 KiB, half of glibc's default
+# 128 KiB mmap threshold, above which every temporary is mapped and page-faulted afresh
+_CHUNK = 8192
+
+
 def _grouped_outcomes(cand_ids: np.ndarray, weights: np.ndarray, rng: np.random.Generator,
-                      in_trial_order: bool = True) -> np.ndarray:
-    """Outcome index per trial from one seeded draw of uniforms.
+                      keep: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Outcome counts from seeded uniforms, plus each trial's outcome when ``keep`` asks.
 
     Candidate c takes the next ``bincount(cand_ids)[c]`` uniforms, in trial
     order within the candidate, and an outcome is the number of cumulative
-    thresholds ``cumsum(weights[c])[:-1]`` at or below its uniform. Without
-    ``in_trial_order`` the outcomes stay grouped by candidate; their counts
-    do not depend on the order.
+    thresholds ``cumsum(weights[c])[:-1]`` at or below its uniform. The walk
+    over that candidate-grouped order draws ``_CHUNK`` uniforms at a time,
+    which continues the stream one draw would give, and repeats the
+    thresholds of the candidates a chunk spans, one threshold column at a
+    time; no temporary grows with the trial count. The weights are
+    nonnegative, so the thresholds never decrease along a row, a trial's
+    outcome exceeds j exactly when its uniform reaches threshold j, and the
+    counts come from one tally per column. Kept outcomes are put back in
+    trial order.
     """
-    u = rng.random(len(cand_ids))
+    n_trials, n_labels = len(cand_ids), len(weights[0])
     per_cand = np.bincount(cand_ids, minlength=len(weights))
-    outcomes = np.zeros(len(cand_ids), dtype=np.int64)
-    # one threshold column at a time: a row-wise sum over a short axis is far slower
-    for thresholds in np.cumsum(weights, axis=1)[:, :-1].T:
-        outcomes += np.repeat(thresholds, per_cand) <= u
-    if not in_trial_order:
-        return outcomes
+    ends = np.cumsum(per_cand)
+    begins = ends - per_cand
+    thresholds = np.cumsum(weights, axis=1)[:, :-1]
+    above = [0] * (n_labels - 1)
+    grouped = np.zeros(n_trials, dtype=np.int64) if keep else None
+    for start in range(0, n_trials, _CHUNK):
+        stop = min(start + _CHUNK, n_trials)
+        u = rng.random(stop - start)
+        # the candidates whose trials fall in [start, stop), and how many each
+        lo, hi = np.searchsorted(ends, (start, stop - 1), side="right")
+        span = np.minimum(ends[lo:hi + 1], stop) - np.maximum(begins[lo:hi + 1], start)
+        for j, column in enumerate(thresholds[lo:hi + 1].T):
+            hit = np.repeat(column, span) <= u
+            above[j] += int(np.count_nonzero(hit))
+            if keep:
+                grouped[start:stop] += hit
+    counts = -np.diff([n_trials, *above, 0])
+    if not keep:
+        return counts, None
     # a stable sort on a narrow key is a radix sort
     order = np.argsort(cand_ids.astype(np.min_scalar_type(len(weights) - 1)), kind="stable")
-    restored = np.empty_like(outcomes)
-    restored[order] = outcomes
-    return restored
+    outcomes = np.empty_like(grouped)
+    outcomes[order] = grouped
+    return counts, outcomes
 
 
 @dataclass
@@ -363,8 +463,7 @@ class TrialReport:
         return json.dumps(self.to_json(), sort_keys=True, indent=1)
 
 
-def _finish_report(kind, n_trials, labels, outcomes, born, config, keep, cand_ids):
-    counts = np.bincount(outcomes, minlength=len(labels))
+def _finish_report(kind, n_trials, labels, counts, born, config, samples):
     emp = counts / n_trials
     tv = 0.5 * float(np.abs(emp - born).sum())
     z = np.zeros(len(labels))
@@ -384,7 +483,7 @@ def _finish_report(kind, n_trials, labels, outcomes, born, config, keep, cand_id
         tv_distance=tv,
         z_scores=tuple(float(x) for x in z),
         config=config,
-        samples=(cand_ids, outcomes) if keep else None,
+        samples=samples,
     )
 
 
@@ -396,9 +495,10 @@ def run_trials(request: MeasurementRequest, n_trials: int, context: SimulationCo
     ``context.fixed_apparatus`` one realization serves the whole run. The
     reference distribution averages the Born weights of the candidates
     the apparatus actually draws from. The weights of all candidates come
-    from one batched pass, no block is built, and the outcomes from one
-    draw of uniforms handed out by candidate; they are put back in trial
-    order only when ``keep_samples`` returns them.
+    from one batched pass, no block is built, and the outcome counts from
+    seeded uniforms handed out by candidate (``_grouped_outcomes``); the
+    outcomes of single trials are formed only when ``keep_samples``
+    returns them.
     """
     if n_trials < 1:
         raise ValidationError("need at least one trial")
@@ -428,7 +528,7 @@ def run_trials(request: MeasurementRequest, n_trials: int, context: SimulationCo
         cand_ids = rng_app.integers(0, len(cands), size=n_trials)
         born = np.mean(weights, axis=0)
 
-    outcomes = _grouped_outcomes(cand_ids, weights, rng_sys, in_trial_order=keep_samples)
+    counts, outcomes = _grouped_outcomes(cand_ids, weights, rng_sys, keep=keep_samples)
     config = {
         "kind": request.kind,
         "precision": request.precision,
@@ -439,8 +539,8 @@ def run_trials(request: MeasurementRequest, n_trials: int, context: SimulationCo
         "realized_ids": realized_ids,
         "realized_distances": realized_distances,
     }
-    return _finish_report(request.kind, n_trials, labels, outcomes, born, config,
-                          keep_samples, cand_ids)
+    return _finish_report(request.kind, n_trials, labels, counts, born, config,
+                          (cand_ids, outcomes) if keep_samples else None)
 
 
 def simulate_trial(request: MeasurementRequest, context: SimulationContext,

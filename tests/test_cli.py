@@ -1,12 +1,15 @@
 """Command line behavior: happy paths, report formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nchv
 from helpers import random_resolution, saved_layout_registry
 from nchv.basisfamily import BasisFamily, min_cross_commutator_norm
 from nchv.cli import main
@@ -271,3 +274,51 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "family" in proc.stdout
+
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import numpy as np
+import nchv
+from nchv.basisfamily import BasisFamily
+from nchv.cli import main
+from nchv.opcore import operator_to_json
+
+loaded = [name for name, mod in sys.modules.items()
+          if name.split(".")[0] == "scipy" and mod is not None]
+assert loaded == [], loaded
+out = sys.argv[1]
+codes = [main(["family", "gen", "--n", "2", "--count", "3", "--seed", "5",
+               "--out", out + "/family.json"])]
+basis = BasisFamily.load(out + "/family.json").members[1].basis.mat
+payloads = {
+    "target": operator_to_json((basis * np.array([1.0, 2.0])) @ basis.conj().T),
+    "state": operator_to_json(np.eye(2) / 2),
+    "targets": {"members": [operator_to_json(np.diag([0.3, 0.6])),
+                            operator_to_json(np.diag([0.7, 0.4]))]},
+}
+for name, payload in payloads.items():
+    with open(f"{out}/{name}.json", "w") as fh:
+        json.dump(payload, fh)
+codes.append(main(["simulate", "pvm", "--family", out + "/family.json",
+                   "--state", out + "/state.json", "--target", out + "/target.json",
+                   "--eps", "1e-6", "--trials", "50"]))
+codes.append(main(["simulate", "povm", "--registry", out + "/registry.json",
+                   "--state", out + "/state.json", "--targets", out + "/targets.json",
+                   "--eps", "0.02", "--trials", "50"]))
+codes.append(main(["kscheck", "--fixture", sys.argv[2]]))
+assert codes == [0, 0, 0, 0], codes
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    src = str(Path(nchv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path),
+         str(Path(nchv.__file__).parent / "fixtures" / "ks18_dim4.json")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr

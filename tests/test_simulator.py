@@ -51,6 +51,11 @@ class TestRequestValidation:
         with pytest.raises(ValidationError):
             MeasurementRequest.povm([np.eye(2), np.eye(2)], 0.1)
 
+    def test_povm_needs_two_targets(self):
+        # a lone identity is a resolution, but not one the snap can mix
+        with pytest.raises(ValidationError, match="at least two"):
+            MeasurementRequest.povm([np.eye(2)], 0.1)
+
 
 class TestProbabilities:
     def test_born_oracle(self):
@@ -186,9 +191,10 @@ class TestBatchedMatch:
                         for i in range(100))
         family = BasisFamily(3, 1.7, 1e-8, 0, members)
         calls = []
-        real = simulator.linear_sum_assignment
-        monkeypatch.setattr(simulator, "linear_sum_assignment",
-                            lambda cost: calls.append(1) or real(cost))
+        real = simulator._max_overlap_columns
+        # one entry per member assigned, whichever path assigns it
+        monkeypatch.setattr(simulator, "_max_overlap_columns",
+                            lambda overlap: calls.extend([1] * len(overlap)) or real(overlap))
         cands, nearest = pvm_candidates(observable_on_basis(members[40].basis, rng), family, 0.3)
         assert [c.member_index for c in cands] == [41] and nearest < 1e-12
         assert len(calls) < 10
@@ -217,6 +223,26 @@ class TestBatchedMatch:
             calls.clear()
             cands, _ = pvm_candidates(obs, family, 1e-9)
             assert len(cands) == 1 and len(calls) == 0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_assignment_returns_scipys_columns(n):
+    # scipy is a test-only oracle; the library carries its own port
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(100 + n)
+    mats = [np.zeros((n, n)), np.ones((n, n)), np.full((n, n), 1.0 / n)]
+    for _ in range(150):
+        mats.append(rng.normal(size=(n, n)))
+        # small integers tie often, which exercises the tie rule
+        mats.append(rng.integers(-1, 3, size=(n, n)).astype(float))
+        mats.append(-np.abs(haar_basis(n, rng).mat) ** 2)
+        # near a permutation, as for a target on a member: the stacked shortcut's case
+        mats.append(-np.abs(haar_basis(n, rng).mat[:, rng.permutation(n)]) ** 2 * 1e-3
+                    - np.eye(n)[rng.permutation(n)])
+    want = [linear_sum_assignment(cost)[1].tolist() for cost in mats]
+    assert [simulator._assignment(cost.tolist()) for cost in mats] == want
+    assert simulator._max_overlap_columns(-np.array(mats)).tolist() == want
 
 
 class TestLazyBlocks:
@@ -249,8 +275,11 @@ class TestLazyBlocks:
         assert sorted(built) == [m.index for m in family10.members]
 
 
+CHUNK = simulator._CHUNK
+
+
 class TestGroupedOutcomes:
-    """The one-draw sampler against the per-candidate sampler in ``helpers``."""
+    """The chunked sampler against the per-candidate sampler in ``helpers``."""
 
     @pytest.mark.parametrize("k", [1, 2, 10, 100])
     @pytest.mark.parametrize("n_trials", [1, 57, 5000])
@@ -262,14 +291,30 @@ class TestGroupedOutcomes:
         weights[1::3] = [0.0, 0.5, 0.5, 0.0]
         cand_ids = rng.integers(0, k, size=n_trials)
         seed = int(rng.integers(2**32))
+        self.check_against_reference(cand_ids, weights, seed)
+
+    @staticmethod
+    def check_against_reference(cand_ids, weights, seed):
         want = reference_grouped_outcomes(cand_ids, weights, np.random.default_rng(seed))
-        got = simulator._grouped_outcomes(cand_ids, weights, np.random.default_rng(seed))
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        grouped = simulator._grouped_outcomes(cand_ids, weights, np.random.default_rng(seed),
-                                              in_trial_order=False)
-        # trials come back grouped by candidate, with the same count per (candidate, outcome)
-        assert np.array_equal(np.bincount(np.sort(cand_ids) * 4 + grouped, minlength=4 * k),
-                              np.bincount(cand_ids * 4 + want, minlength=4 * k))
+        counts, kept = simulator._grouped_outcomes(cand_ids, weights,
+                                                   np.random.default_rng(seed), keep=True)
+        assert kept.dtype == want.dtype and np.array_equal(kept, want)
+        assert np.array_equal(counts, np.bincount(want, minlength=weights.shape[1]))
+        alone, none = simulator._grouped_outcomes(cand_ids, weights, np.random.default_rng(seed))
+        assert none is None and np.array_equal(alone, counts)
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 100])
+    @pytest.mark.parametrize("n_trials", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7, 20000])
+    def test_chunk_boundaries(self, n_trials, k, fixed):
+        rng = np.random.default_rng(7 * n_trials + k)
+        weights = rng.dirichlet(np.ones(3), size=k)
+        weights[::2] = [0.0, 1.0, 0.0]
+        if fixed:
+            cand_ids = np.full(n_trials, int(rng.integers(k)), dtype=np.int64)
+        else:
+            cand_ids = rng.integers(0, k, size=n_trials)
+        self.check_against_reference(cand_ids, weights, int(rng.integers(2**32)))
 
     @pytest.mark.parametrize("fixed", [False, True])
     def test_run_trials_against_per_block_weights(self, family10, fixed):
@@ -425,6 +470,18 @@ class TestRunTrialsPovm:
         tagged = realize_povm(req, reg, np.random.default_rng(0))
         for t, m in zip(targets, tagged.members):
             assert operator_norm(t - m) < 0.05
+
+    def test_a_miss_validates_the_targets_once(self, monkeypatch):
+        calls = []
+        for module in (povmfamily, simulator):
+            real = module.validate_resolution
+            monkeypatch.setattr(module, "validate_resolution",
+                                lambda ops, real=real: calls.append(1) or real(ops))
+        rng = np.random.default_rng(27)
+        ctx = SimulationContext(random_density(2, rng), registry=ResolutionRegistry(2))
+        req = MeasurementRequest.povm(random_resolution(2, 3, rng), 0.02)
+        run_trials(req, 100, ctx)
+        assert len(ctx.registry) == 1 and len(calls) == 1
 
     def test_statistics_track_realized_born(self):
         rng = np.random.default_rng(26)
