@@ -18,9 +18,10 @@ import numpy as np
 
 from .errors import RepairExhaustedError, ValidationError
 from .opcore import (
+    JsonNode,
     OrthonormalBasis,
+    _bases_from_json,
     basis_distance,
-    basis_from_json,
     basis_to_json,
     min_commutator_norm,
     read_json,
@@ -109,27 +110,19 @@ class BasisFamily:
 
     @classmethod
     def from_json(cls, obj) -> "BasisFamily":
-        try:
-            members = tuple(
-                FamilyMember(
-                    index=int(entry["index"]),
-                    basis=basis_from_json(entry["basis"]),
-                    provenance=Provenance(**entry["provenance"]),
-                )
-                for entry in obj["members"]
-            )
-            n = int(obj["n"])
-            if any(m.basis.dim != n for m in members):
-                raise ValueError(f"a member basis has a dimension other than n = {n}")
-            return cls(
-                dim=n,
-                net_bound=float(obj["net_bound"]),
-                floor=float(obj["floor"]),
-                seed=int(obj["seed"]),
-                members=members,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed family object: {exc}") from exc
+        node = JsonNode(obj, "family")
+        n = node["n"].integer(1)
+        entries = node["members"].elements()
+        bases = _bases_from_json([entry["basis"] for entry in entries], n)
+        members = []
+        for entry, basis in zip(entries, bases):
+            prov = entry["provenance"]
+            seed = None if prov["seed"].value is None else prov["seed"].integer()
+            moved = float(prov["distance_moved"].numbers(()))
+            provenance = Provenance(seed, prov["replacements"].integer(0), moved)
+            members.append(FamilyMember(entry["index"].integer(), basis, provenance))
+        return cls(dim=n, net_bound=float(node["net_bound"].numbers(())),
+                   floor=float(node["floor"].numbers(())), seed=node["seed"].integer(), members=tuple(members))
 
     def save(self, path) -> None:
         write_json(self.to_json(), path)

@@ -22,7 +22,7 @@ from pathlib import Path
 from .basisfamily import BasisFamily, generate_family
 from .errors import NCHVError, NoCandidateError, PrecisionError, ValidationError
 from .kscheck import find_truth_functions, load_fixture
-from .opcore import operator_from_json, read_json
+from .opcore import JsonNode, operator_from_json, read_json
 from .povmfamily import ResolutionRegistry, snap_resolution
 from .simulator import MeasurementRequest, SimulationContext, run_trials
 
@@ -88,11 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_targets(path):
-    data = read_json(path)
-    entries = data.get("members") if isinstance(data, dict) else data
-    if not isinstance(entries, list) or not entries:
-        raise ValidationError(f"{path} holds no target list")
-    return [operator_from_json(entry) for entry in entries]
+    node = JsonNode(read_json(path), "targets")
+    entries = node["members"] if isinstance(node.value, dict) else node
+    return [operator_from_json(entry) for entry in entries.elements()]
 
 
 def _emit_report(report, spec: str | None):
@@ -132,9 +130,9 @@ def _cmd_family_gen(args) -> int:
 
 
 def _cmd_simulate(args, kind: str) -> int:
-    density = operator_from_json(read_json(args.state))
+    density = operator_from_json(JsonNode(read_json(args.state), "state"))
     if kind == "pvm":
-        target = operator_from_json(read_json(args.target))
+        target = operator_from_json(JsonNode(read_json(args.target), "target"))
         request = MeasurementRequest.pvm(target, args.eps,
                                          apparatus_seed=args.seed_app,
                                          system_seed=args.seed_sys)

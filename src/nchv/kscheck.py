@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DimensionMismatchError, SearchCapError, ValidationError
 from .opcore import (
     SPECTRAL_TOL,
+    JsonNode,
     as_operator,
     check_projections,
     operator_from_json,
@@ -363,13 +364,9 @@ def problem_from_family(family, count=None) -> ValuationProblem:
     members = family.members if count is None else family.members[:count]
     if not members:
         raise ValidationError("family slice is empty")
-    operators = []
-    resolutions = []
     n = family.dim
-    for k, member in enumerate(members):
-        atoms = atom_projections(member.basis)
-        operators.extend(atoms[i] for i in range(n))
-        resolutions.append(list(range(k * n, (k + 1) * n)))
+    operators = [atom for member in members for atom in atom_projections(member.basis)]
+    resolutions = [list(range(k * n, (k + 1) * n)) for k in range(len(members))]
     return build_problem(operators, resolutions)
 
 
@@ -381,37 +378,24 @@ def load_fixture(path) -> ValuationProblem:
     {"dim", "operators", "resolutions"?} with full operator payloads. A
     missing resolutions key triggers discovery.
     """
-    data = read_json(path)
-    try:
-        dim = int(data["dim"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValidationError(f"fixture {path} has no integer dim: {exc}") from exc
-    if "vectors" in data:
+    node = JsonNode(read_json(path), "fixture")
+    dim = node["dim"].integer()
+    if "vectors" in node.value:
         operators = []
-        try:
-            vectors = iter(data["vectors"])
-        except TypeError as exc:
-            raise ValidationError(f"fixture vectors are not a list: {exc}") from exc
-        for entry in vectors:
-            try:
-                vec = np.array(
-                    [complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-                     for c in entry]
-                )
-            except (IndexError, TypeError, ValueError) as exc:
-                raise ValidationError(f"malformed fixture vector {entry!r}: {exc}") from exc
+        for entry in node["vectors"].elements():
+            vec = entry.numbers()
+            if vec.shape == (dim, 2):
+                vec = vec[:, 0] + 1j * vec[:, 1]
             if vec.shape != (dim,):
-                raise ValidationError("fixture vector has the wrong length")
+                raise entry.error(f"{dim} numbers or {dim} [re, im] pairs", f"shape {vec.shape}")
             norm = np.linalg.norm(vec)
             if norm < 1e-12:
-                raise ValidationError("fixture vector is numerically zero")
+                raise ValidationError(f"{entry.path} is numerically zero")
             vec = vec / norm
             operators.append(np.outer(vec, vec.conj()))
-    elif "operators" in data:
-        if not isinstance(data["operators"], list):
-            raise ValidationError("fixture operators are not a list")
-        operators = [operator_from_json(entry) for entry in data["operators"]]
+    elif "operators" in node.value:
+        operators = [operator_from_json(entry) for entry in node["operators"].elements()]
     else:
         raise ValidationError("fixture needs a vectors or operators key")
-    resolutions = data.get("resolutions")
+    resolutions = node.value.get("resolutions")
     return build_problem(operators, resolutions, discover=resolutions is None)

@@ -5,7 +5,9 @@ orthonormal bases get a thin immutable wrapper because vector order is
 significant for the basis metric. Everything downstream shares one
 tolerance ladder: structural identities at 1e-12, derived algebra at
 1e-10, spectral and other iterative results at 1e-9 and 1e-8. The JSON
-file helpers at the end read and write family, registry and CLI input files.
+helpers at the end write family and registry files and read every input
+file through one typed decoder, ``JsonNode``, whose accessors turn any
+malformed value into a ValidationError naming its key path.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ STRUCT_TOL = 1e-12
 ALGEBRA_TOL = 1e-10
 SPECTRAL_TOL = 1e-9
 EIGEN_MERGE_TOL = 1e-8
+ENTRY_CAP = 1e100  # largest magnitude of a number in an input file (see JsonNode)
 SCAN_CHUNK = 4096  # commutator norms per batched call in min_commutator_norm
 PAIR_CHUNK = 1 << 20  # operator pairs per Gram pass in spectral_distances
 
@@ -33,6 +36,7 @@ __all__ = [
     "ALGEBRA_TOL",
     "SPECTRAL_TOL",
     "EIGEN_MERGE_TOL",
+    "ENTRY_CAP",
     "as_operator",
     "require_same_dim",
     "dagger",
@@ -62,6 +66,7 @@ __all__ = [
     "basis_from_json",
     "read_json",
     "write_json",
+    "JsonNode",
 ]
 
 
@@ -323,6 +328,19 @@ def validate_resolution(ops) -> bool:
     return operator_norm(gap) <= SPECTRAL_TOL
 
 
+def _orthonormal(stack) -> np.ndarray:
+    """Read-only copy of an (m, n, n) stack of matrices with orthonormal columns, or ValidationError."""
+    stack = np.array(stack, dtype=complex)
+    if not np.isfinite(stack).all():
+        raise ValidationError("basis entries must be finite")
+    # one batched SVD; |V*V - I| = |VV* - I|: the atoms of an accepted basis sum to the identity too
+    gaps = spectral_norms(stack.conj().swapaxes(-1, -2) @ stack - np.eye(stack.shape[-1]))
+    if not (gaps <= ALGEBRA_TOL).all():
+        raise ValidationError("columns are not orthonormal within 1e-10")
+    stack.setflags(write=False)
+    return stack
+
+
 @dataclass(frozen=True)
 class OrthonormalBasis:
     """Ordered orthonormal basis; column i of ``mat`` is the i-th vector."""
@@ -330,15 +348,7 @@ class OrthonormalBasis:
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = as_operator(self.mat)
-        if not np.isfinite(mat).all():
-            raise ValidationError("basis entries must be finite")
-        # |V*V - I| = |VV* - I|: the atoms of an accepted basis sum to the identity too
-        if operator_norm(dagger(mat) @ mat - np.eye(mat.shape[0])) > ALGEBRA_TOL:
-            raise ValidationError("columns are not orthonormal within 1e-10")
-        mat = np.ascontiguousarray(mat)
-        mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "mat", _orthonormal(as_operator(self.mat)[None])[0])
 
     @property
     def dim(self) -> int:
@@ -389,8 +399,7 @@ class HermitianObservable:
     def from_operator(cls, op) -> "HermitianObservable":
         mat = as_operator(op)
         pairs = spectral_resolution(mat)
-        values = tuple(val for val, _ in pairs)
-        projs = tuple(proj for _, proj in pairs)
+        values, projs = zip(*pairs)
         recon = sum(val * proj for val, proj in pairs)
         recon_gap, sum_gap = spectral_norms(np.array([recon - mat, sum(projs) - np.eye(mat.shape[0])]))
         if recon_gap > SPECTRAL_TOL:
@@ -412,58 +421,110 @@ class HermitianObservable:
 def operator_to_json(op) -> dict:
     """Canonical serialization: row-major real and imaginary parts."""
     mat = as_operator(op)
-    return {
-        "dim": mat.shape[0],
-        "re": [float(x) for x in mat.real.ravel()],
-        "im": [float(x) for x in mat.imag.ravel()],
-    }
+    return {"dim": mat.shape[0], "re": mat.real.ravel().tolist(), "im": mat.imag.ravel().tolist()}
 
 
 def operator_from_json(obj) -> np.ndarray:
-    try:
-        n = int(obj["dim"])
-        re = np.array(obj["re"], dtype=float)
-        im = np.array(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed operator object: {exc}") from exc
-    if n < 1 or re.shape != (n * n,) or im.shape != (n * n,):
-        raise ValidationError("operator entry lists do not match dim*dim")
+    node = JsonNode(obj, "operator")
+    n = node["dim"].integer(1)
+    re, im = (node[part].numbers((n * n,)) for part in ("re", "im"))
     return re.reshape(n, n) + 1j * im.reshape(n, n)
 
 
 def basis_to_json(basis: OrthonormalBasis) -> dict:
     """Serialize an ordered basis as a list of vectors, order preserved."""
-    vectors = []
-    for i in range(basis.dim):
-        v = basis.vector(i)
-        vectors.append({"re": [float(x) for x in v.real], "im": [float(x) for x in v.imag]})
+    vectors = [{"re": v.real.tolist(), "im": v.imag.tolist()} for v in basis.mat.T]
     return {"dim": basis.dim, "vectors": vectors}
 
 
+def _bases_from_json(nodes, n: int) -> list[OrthonormalBasis]:
+    """Decoded basis objects, each of dimension ``n``, checked in one batched pass."""
+    mats = []
+    for node in nodes:
+        if node["dim"].integer() != n:
+            raise node["dim"].error(str(n))
+        parts = [[v["re"].value, v["im"].value] for v in node["vectors"].elements(n)]
+        arr = JsonNode(parts, f"{node.path}.vectors").numbers((n, 2, n))
+        mats.append((arr[:, 0] + 1j * arr[:, 1]).T)
+    # each basis takes its matrix from the checked stack, so no basis checks itself again
+    bases = [object.__new__(OrthonormalBasis) for _ in mats]
+    for basis, mat in zip(bases, _orthonormal(np.reshape(mats, (-1, n, n)))):
+        object.__setattr__(basis, "mat", mat)
+    return bases
+
+
 def basis_from_json(obj) -> OrthonormalBasis:
-    try:
-        n = int(obj["dim"])
-        vectors = obj["vectors"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed basis object: {exc}") from exc
-    if len(vectors) != n:
-        raise ValidationError(f"expected {n} vectors, got {len(vectors)}")
-    cols = []
-    for entry in vectors:
-        re = entry.get("re")
-        im = entry.get("im")
-        if re is None or im is None or len(re) != n or len(im) != n:
-            raise ValidationError("malformed basis vector entry")
-        cols.append(np.array(re, dtype=float) + 1j * np.array(im, dtype=float))
-    return OrthonormalBasis(np.column_stack(cols))
+    node = JsonNode(obj, "basis")
+    return _bases_from_json([node], node["dim"].integer(1))[0]
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def read_json(path):
-    """Parse a JSON file; an unreadable or malformed file raises ValidationError."""
+    """Parse a JSON file; a missing or malformed file, NaN and Infinity included, raises ValidationError."""
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+        return json.loads(Path(path).read_text(), parse_constant=_no_constant)
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+class JsonNode:
+    """One value of a decoded JSON document and the key path it sits at.
+
+    Every input file is read through these typed accessors. Each returns the
+    value as the type its loader needs or raises ValidationError naming the
+    key path, such as ``family.members[2].index``, and what it found there.
+    ``node[key]`` is the required key of an object, ``elements(length)`` the
+    items of a list, ``integer(low)`` a JSON integer (not a bool, not 2.0,
+    not "3"), and ``numbers(shape)`` a float array from a JSON number, for
+    shape (), or from nested lists of them, checked in one array pass.
+    A number must have magnitude at most ENTRY_CAP (1e100), which rules out
+    ``1e400`` too, as the parser reads it as infinity: squared and summed
+    over the n**2 entries of an operator, as Gram and Frobenius sums do, it
+    stays far below the float maximum of about 1.8e308.
+    """
+
+    __slots__ = ("value", "path")
+
+    def __init__(self, value, path):
+        # a node passed in keeps its own path, so a loader called by another names the whole path
+        self.value, self.path = (value.value, value.path) if isinstance(value, JsonNode) else (value, path)
+
+    def error(self, expected, found=None) -> ValidationError:
+        kinds = {dict: "an object", list: "a list", str: "a string", bool: "a boolean", type(None): "null"}
+        found = found or kinds.get(type(self.value)) or repr(self.value)
+        return ValidationError(f"{self.path} must be {expected}, got {found}")
+
+    def __getitem__(self, key) -> "JsonNode":
+        if not isinstance(self.value, dict) or key not in self.value:
+            raise self.error(f"an object with a key {key!r}",
+                             isinstance(self.value, dict) and "an object without it")
+        return JsonNode(self.value[key], f"{self.path}.{key}")
+
+    def elements(self, length=None) -> list["JsonNode"]:
+        if not isinstance(self.value, list) or length not in (None, len(self.value)):
+            raise self.error("a list" if length is None else f"a list of {length} items",
+                             isinstance(self.value, list) and f"{len(self.value)} items")
+        return [JsonNode(v, f"{self.path}[{i}]") for i, v in enumerate(self.value)]
+
+    def integer(self, low=None) -> int:
+        if type(self.value) is not int or (low is not None and self.value < low):
+            raise self.error("an integer" if low is None else f"an integer of at least {low}")
+        return self.value
+
+    def numbers(self, shape=None) -> np.ndarray:
+        try:
+            arr = np.array(self.value)
+            arr = arr.astype(float) if arr.dtype.kind in "iufO" else None
+        except (TypeError, ValueError, OverflowError):
+            arr = None
+        if arr is None or shape not in (None, arr.shape) or not np.abs(arr).max(initial=0) <= ENTRY_CAP:
+            raise self.error(f"{'a number' if shape == () else 'numbers'} of magnitude at most "
+                             f"{ENTRY_CAP:g}{f' in shape {shape}' if shape else ''}",
+                             arr is not None and arr.ndim and f"shape {arr.shape}")
+        return arr
 
 
 def write_json(obj, path) -> None:

@@ -33,6 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .opcore import (
+    JsonNode,
     as_operator,
     check_density,
     dagger,
@@ -277,25 +278,16 @@ class RationalOperator:
 
     @classmethod
     def from_json(cls, obj) -> "RationalOperator":
-        try:
-            n = int(obj["dim"])
-            rows = tuple(
-                tuple(
-                    (
-                        Fraction(int(e["re"]["num"]), int(e["re"]["den"])),
-                        Fraction(int(e["im"]["num"]), int(e["im"]["den"])),
-                    )
-                    for e in row
-                )
-                for row in obj["entries"]
-            )
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"malformed rational operator: {exc}") from exc
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValidationError("rational operator entries do not match dim")
-        den = math.lcm(*(q.denominator for row in rows for e in row for q in e))
-        return cls([[int(e[0] * den) for e in row] for row in rows],
-                   [[int(e[1] * den) for e in row] for row in rows], den)
+        node = JsonNode(obj, "rational operator")
+        n = node["dim"].integer()
+        # each row alternates the (num, den) of an entry's real part and of its imaginary part
+        pairs = [[(q["num"].integer(), q["den"].integer()) for e in row.elements(n)
+                  for q in (e["re"], e["im"])] for row in node["entries"].elements(n)]
+        den = math.lcm(*(d for row in pairs for _, d in row))
+        if not den:
+            raise ValidationError(f"{node.path} has a zero denominator")
+        parts = [[[num * (den // d) for num, d in row[part::2]] for row in pairs] for part in (0, 1)]
+        return cls(*parts, den)
 
 
 def is_admissible(op: RationalOperator) -> bool:
@@ -331,10 +323,7 @@ class RationalResolution:
         for i, m in enumerate(members):
             if not is_admissible(m):
                 raise ValidationError(f"member {i} is not admissible (Hermitian, PSD, entries nonzero)")
-        total = members[0]
-        for m in members[1:]:
-            total = total + m
-        if total != RationalOperator.identity(n):
+        if sum(members[1:], members[0]) != RationalOperator.identity(n):
             raise ValidationError("members do not sum exactly to the identity")
         object.__setattr__(self, "members", members)
 
@@ -354,11 +343,8 @@ class RationalResolution:
 
     @classmethod
     def from_json(cls, obj) -> "RationalResolution":
-        try:
-            members = tuple(RationalOperator.from_json(m) for m in obj["members"])
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed rational resolution: {exc}") from exc
-        return cls(members)
+        node = JsonNode(obj, "rational resolution")
+        return cls(tuple(RationalOperator.from_json(m) for m in node["members"].elements()))
 
 
 @functools.cache
@@ -418,13 +404,11 @@ def rationalize_po(target, delta: float) -> RationalOperator:
     weight0 = Fraction(2) ** -math.ceil(math.log2(6 / delta))
     if weight0.denominator > DEFAULT_DENOMINATOR_CAP:
         raise PrecisionError("delta is below the resolution of the denominator cap")
-    out = None
     for j in range(n * n + 1):
-        cand = base + bump.scale(weight0 / (2**j))
-        if cand.all_entries_nonzero():
-            out = cand
+        out = base + bump.scale(weight0 / (2**j))
+        if out.all_entries_nonzero():
             break
-    if out is None:
+    else:
         raise PrecisionError("could not clear zero entries within the candidate budget")
     achieved = operator_norm(mat - out.to_complex())
     if not achieved < delta:
@@ -508,9 +492,7 @@ def _snap(mats, eps: float) -> tuple[RationalResolution, SnapDiagnostics]:
     shrink = 1 - Fraction(1, 2 ** ((reach.denominator // reach.numerator).bit_length() - 1))
 
     primed = [rationalize_po(float(shrink) * m, float(delta)) for m in mats]
-    total = primed[0]
-    for p in primed[1:]:
-        total = total + p
+    total = sum(primed[1:], primed[0])
     ident = RationalOperator.identity(n)
     gap_ok = hermitian_norm_at_most(total - ident.scale(shrink), reach)
     if not gap_ok:
@@ -519,17 +501,13 @@ def _snap(mats, eps: float) -> tuple[RationalResolution, SnapDiagnostics]:
 
     coeffs = _mixing_coefficients(k)
     step0 = Fraction(1, k**4)
-    members = None
-    weights = None
     for attempt in range(k * n * n + 2):
         step = step0 / (attempt + 1)
-        ts = [Fraction(1, k) + c * step for c in coeffs]
-        cand = [primed[i] + gap.scale(ts[i]) for i in range(k)]
-        if all(c.all_entries_nonzero() for c in cand):
-            members = cand
-            weights = ts
+        weights = [Fraction(1, k) + c * step for c in coeffs]
+        members = [primed[i] + gap.scale(weights[i]) for i in range(k)]
+        if all(c.all_entries_nonzero() for c in members):
             break
-    if members is None:
+    else:
         raise PrecisionError("could not clear zero entries across the weight candidates")
 
     resolution = RationalResolution(tuple(members))
@@ -590,7 +568,8 @@ def phase_tag(base: RationalResolution, index: int) -> TaggedResolution:
     """
     if index < 1:
         raise ValidationError("registry index must be a positive integer")
-    s = (math.pi / 4.0) ** index
+    # (pi/4)**m is 0.0 from m = 3085 on; the cap keeps an index past 2**1024 from overflowing float()
+    s = (math.pi / 4.0) ** min(index, 4096)
     if s == 0.0:
         raise PrecisionError(f"phase angle underflows at index {index}")
     theta = math.asin(s)
@@ -619,8 +598,8 @@ class ResolutionRegistry:
     """
 
     def __init__(self, dim: int):
-        if dim < 2:
-            raise ValidationError("registry dimension must be at least 2")
+        if not 2 <= dim < 2**29:  # past 2**29 the (0, dim, dim) member stack has no numpy shape
+            raise ValidationError("registry dimension must be from 2 to 2**29 - 1")
         self.dim = dim
         self.entries: list[TaggedResolution] = []
         self._used: set[int] = set()
@@ -693,18 +672,16 @@ class ResolutionRegistry:
 
     @classmethod
     def from_json(cls, obj) -> "ResolutionRegistry":
-        try:
-            reg = cls(int(obj["dim"]))
-            for entry in obj["entries"]:
-                base = RationalResolution.from_json(entry["base"])
-                if base.dim != reg.dim:
-                    raise ValidationError("registry entry dimension does not match the registry")
-                tagged = phase_tag(base, int(entry["index"]))
-                if tagged.index in reg._used:
-                    raise ValidationError(f"registry index {tagged.index} appears twice")
-                reg._append(tagged)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed registry object: {exc}") from exc
+        node = JsonNode(obj, "registry")
+        reg = cls(node["dim"].integer())
+        for entry in node["entries"].elements():
+            base = RationalResolution.from_json(entry["base"])
+            if base.dim != reg.dim:
+                raise ValidationError("registry entry dimension does not match the registry")
+            tagged = phase_tag(base, entry["index"].integer())
+            if tagged.index in reg._used:
+                raise ValidationError(f"registry index {tagged.index} appears twice")
+            reg._append(tagged)
         rows, cols, dist = spectral_distances(reg._members, None, DISJOINTNESS_FLOOR, reg._owners)
         for i, j in zip(rows[dist <= DISJOINTNESS_FLOOR], cols[dist <= DISJOINTNESS_FLOOR]):
             raise RegistryCollisionError(f"member of index {reg._owners[i]} coincides with one "

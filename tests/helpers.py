@@ -1,7 +1,10 @@
 """Random quantum objects for tests; every function takes an explicit rng."""
 
+import copy
 import functools
+import json
 import math
+import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -293,3 +296,66 @@ def rank_one_projections(vectors):
         v = v / np.linalg.norm(v)
         out.append(np.outer(v, v.conj()))
     return out
+
+
+# Mutation catalogue of the input fuzz. Each entry is (name, nodes it applies
+# to, replacement). A replacement string between two "\x01" is written to the
+# file as a bare JSON token rather than as a string.
+FUZZ_DEPTH = 10**5
+FUZZ_TOKENS = {"Infinity": "Infinity", "NaN": "NaN", "1e400": "1e400",
+               "deep": "[" * FUZZ_DEPTH + "]" * FUZZ_DEPTH}
+FUZZ_MUTATIONS = (
+    ("infinity", "any", "\x01Infinity\x01"),
+    ("nan", "any", "\x01NaN\x01"),
+    ("overflowing-literal", "any", "\x011e400\x01"),
+    ("huge", "any", 1e308),
+    ("negative-huge", "any", -1e308),
+    ("big-integer", "any", 2**70),
+    ("fraction-for-integer", "integer", 2.7),
+    ("string", "any", "3"),
+    ("null", "any", None),
+    ("list", "any", [1, [2.5]]),
+    ("object", "any", {"dim": 2}),
+    ("dropped-key", "keyed", None),
+    ("grown-list", "list", None),
+    ("deep-nesting", "any", "\x01deep\x01"),
+)
+
+
+def _json_nodes(value, path=()):
+    """(path, value) of every node of a decoded JSON value, root first, in document order."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _json_nodes(child, path + (key,))
+
+
+def _applies(kind, path, value):
+    if kind == "integer":
+        return type(value) is int
+    if kind == "keyed":
+        return isinstance(path[-1], str)
+    if kind == "list":
+        return isinstance(value, list)
+    return True
+
+
+def mutate_json(value, rng):
+    """JSON text of ``value`` after one mutation of FUZZ_MUTATIONS, drawn with ``rng``
+    (a ``random.Random``), at one node it applies to, drawn alike; returns (name, path, text)."""
+    name, kind, new = FUZZ_MUTATIONS[rng.randrange(len(FUZZ_MUTATIONS))]
+    # the root sits in a one-item holder list, so every node has a parent
+    holder = [copy.deepcopy(value)]
+    path = rng.choice([p for p, v in _json_nodes(holder) if p and _applies(kind, p, v)])
+    parent = holder
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "keyed":
+        del parent[path[-1]]
+    elif kind == "list":
+        grown = parent[path[-1]]
+        grown.append(copy.deepcopy(grown[-1]) if grown else 0)
+    else:
+        parent[path[-1]] = new
+    text = re.sub(r'"\\u0001(\w+)\\u0001"', lambda m: FUZZ_TOKENS[m.group(1)], json.dumps(holder[0]))
+    return name, path[1:], text

@@ -267,6 +267,57 @@ def test_unreadable_input_exits_four(tmp_path, capsys, argv, payload):
     assert "error:" in capsys.readouterr().err
 
 
+def valid_family(**member):
+    """A one-member n = 2 family of the standard basis, with ``member`` fields replaced."""
+    family = nearly_orthonormal_family()
+    entry = dict(family["members"][0], basis=basis_to_json(OrthonormalBasis(np.eye(2))))
+    family["members"] = [dict(entry, **member)]
+    return family
+
+
+SIMULATE_POVM_AT = ("simulate", "povm", "--registry", "{dir}/bad.json", "--state", "{dir}/state.json",
+                    "--targets", "{dir}/targets.json", "--eps", 0.5, "--trials", 10)
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (SIMULATE_POVM_AT, json.dumps({"dim": 2, "entries": [
+        dict(saved_layout_registry()["entries"][0], index=57.9)]})),
+    (SIMULATE_PVM_AT, json.dumps(valid_family(index=2.7))),
+    (SIMULATE_PVM_AT, json.dumps(valid_family(provenance={"seed": 0, "replacements": "lots",
+                                                          "distance_moved": 0.0}))),
+], ids=["registry-index-not-integer", "member-index-not-integer", "replacements-not-integer"])
+def test_malformed_number_exits_four(tmp_path, capsys, argv, payload):
+    """Numbers that an int() or a dataclass once let through."""
+    test_unreadable_input_exits_four(tmp_path, capsys, argv, payload)
+
+
+def test_valid_family_runs(tmp_path, capsys):
+    """The payload the rows above break loads and serves the same request."""
+    (tmp_path / "bad.json").write_text(json.dumps(valid_family()))
+    (tmp_path / "state.json").write_text(json.dumps(operator_to_json(np.eye(2) / 2)))
+    (tmp_path / "target.json").write_text(json.dumps(operator_to_json(np.diag([1.0, 2.0]))))
+    assert run_cli(*(str(a).format(dir=tmp_path) for a in SIMULATE_PVM_AT)) == 0
+
+
+def test_infinite_target_entries_exit_four_without_warning(workdir):
+    """Two off-diagonal target entries of Infinity: the file is refused before any
+    arithmetic, so a run that turns RuntimeWarning into an error still exits 4."""
+    payload = json.loads((workdir / "target.json").read_text())
+    payload["re"][1] = payload["re"][3] = float("inf")
+    (workdir / "inf.json").write_text(json.dumps(payload))
+    src = str(Path(nchv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "nchv", "simulate", "pvm",
+         "--family", str(workdir / "family.json"), "--state", str(workdir / "state.json"),
+         "--target", str(workdir / "inf.json"), "--eps", "0.5", "--trials", "10"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error:"), proc.stderr
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "nchv", "--help"],

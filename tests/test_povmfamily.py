@@ -433,6 +433,13 @@ class TestPhaseTag:
         assert phase_tag(base, 2) == phase_tag(base, 2)
         assert phase_tag(base, 2) != phase_tag(base, 3)
 
+    @pytest.mark.parametrize("index", [3085, 10**30, 10**400], ids=["first-zero", "huge", "past-float-range"])
+    def test_underflowing_angle_is_a_precision_error(self, index):
+        """A registry file may hold any JSON integer as an index, even one no float can hold."""
+        base = snap_resolution([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 0.05)
+        with pytest.raises(PrecisionError, match="underflows"):
+            phase_tag(base, index)
+
 
 class TestRegistry:
     def _base(self, rng, n=2, k=3, eps=0.01):
