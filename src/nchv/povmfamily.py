@@ -11,10 +11,10 @@ The rational side is exact: a RationalOperator holds the real and the
 imaginary numerators as row tuples of Python integers, which never wrap,
 over one shared denominator kept in lowest terms. Positivity is certified
 by one pivoted fraction-free elimination on the n x n Gaussian-integer
-numerator matrix. Snapping rounds onto a power-of-two grid, so sums and
-products keep small denominators. Floats enter only where a float matrix
-is rounded onto the grid and where a rational operator is projected down
-to floats.
+numerator matrix. A snap makes one float pass over the whole target stack
+(one eigh, one grid rounding, batched distances) and then works on integer
+rows over one power-of-two denominator, so sums keep small denominators
+and only the final members become RationalOperators.
 """
 
 from __future__ import annotations
@@ -38,12 +38,11 @@ from .opcore import (
     check_density,
     dagger,
     draw_indices,
-    is_hermitian,
     normalized_weights,
-    operator_norm,
     read_json,
     require_same_dim,
     spectral_distances,
+    spectral_norms,
     validate_resolution,
     write_json,
 )
@@ -74,12 +73,95 @@ def _dot(xs, ys):
 
 
 def _grid_scaled(mat, bits):
-    """Real and imaginary parts of ``mat`` times 2**bits, all finite or ValidationError."""
+    """Real and imaginary parts of ``mat`` times 2**bits (an int, or ints broadcast over a stack),
+    all finite or ValidationError."""
     with np.errstate(over="ignore"):
-        parts = mat.real * 2.0**bits, mat.imag * 2.0**bits
+        parts = np.ldexp(mat.real, bits), np.ldexp(mat.imag, bits)
     if not all(np.isfinite(part).all() for part in parts):
-        raise ValidationError(f"cannot rationalize an entry not finite on the 2**-{bits} grid")
+        raise ValidationError(f"cannot rationalize an entry not finite on the 2**-{np.max(bits)} grid")
     return parts
+
+
+def _int_rows(mat):
+    """Row tuples of the Python integers nearest the entries of a finite float matrix."""
+    return tuple(tuple(map(int, row)) for row in np.rint(mat).tolist())
+
+
+def _to_complex(re, im, den) -> np.ndarray:
+    # int / int is correctly rounded however large the integers grow, and whatever factor they share
+    out = np.empty((len(re), len(re)), dtype=complex)
+    out.real = [[x / den for x in row] for row in re]
+    out.imag = [[x / den for x in row] for row in im]
+    return out
+
+
+def _hermitian(re, im) -> bool:
+    return re == tuple(zip(*re)) and all(x == -y for row, col in zip(im, zip(*im))
+                                         for x, y in zip(row, col))
+
+
+def _nonzero(re, im) -> bool:
+    return all(x or y for rx, ry in zip(re, im) for x, y in zip(rx, ry))
+
+
+def _psd(re, im) -> bool:
+    """Positive semidefiniteness of the Hermitian Gaussian-integer matrix re + i im.
+
+    Pivoted fraction-free symmetric elimination (Bareiss) on M = re + i im,
+    the numerator of an operator M / den, den > 0. Each step takes as pivot
+    p the largest remaining diagonal entry d, real as M is Hermitian, drops
+    row and column p, and updates the rest as M[i][j] <- (d M[i][j] -
+    M[i][p] M[p][j]) / prev, where prev is the previous pivot (1 at first).
+
+    Why the division is exact: after pivots p_1..p_s, entry (i, j) equals
+    the minor of the original M on rows {p_1..p_s, i} and columns
+    {p_1..p_s, j}. This is Sylvester's determinant identity, the
+    invariant of Bareiss' scheme, and the update above is that identity
+    applied to the bordered minors. A minor of a Gaussian-integer matrix
+    is a Gaussian integer, and prev is a principal minor of a Hermitian
+    matrix, hence a real integer, so the real and the imaginary part of
+    the numerator are each divisible by prev.
+
+    Why it decides positivity: the remaining block is (d / prev) times
+    the Schur complement of the pivot, so it stays Hermitian and is
+    positive semidefinite exactly when the block before the step was,
+    given d > 0. A negative diagonal entry refutes positivity, and when
+    the largest diagonal entry is zero the block is positive
+    semidefinite only if it vanishes. Only the upper triangle is
+    computed; the lower one is its conjugate.
+    """
+    re = [list(row) for row in re]
+    im = [list(row) for row in im]
+    live = list(range(len(re)))
+    prev = 1
+    while live:
+        diag = [re[i][i] for i in live]
+        if min(diag) < 0:
+            return False
+        d = max(diag)
+        if d == 0:
+            return not any(re[i][j] or im[i][j] for i in live for j in live)
+        p = live.pop(diag.index(d))
+        rp, ip = re[p], im[p]
+        for x, i in enumerate(live):
+            ri, ii = re[i], im[i]
+            a, b = ri[p], ii[p]
+            for j in live[x:]:
+                c, e = rp[j], ip[j]
+                ri[j] = r = (d * ri[j] - a * c + b * e) // prev
+                ii[j] = s = (d * ii[j] - a * e - b * c) // prev
+                re[j][i], im[j][i] = r, -s
+        prev = d
+    return True
+
+
+def _norm_at_most(re, im, den, bound) -> bool:
+    """|(re + i im) / den| <= bound = p / q for Hermitian integer rows and den > 0: ``_psd``
+    of bound*I - M and of bound*I + M, each times the positive den * q."""
+    bound = Fraction(bound)
+    p, q = bound.numerator * den, bound.denominator
+    return all(_psd([[p * (a == b) - sign * q * x for b, x in enumerate(row)] for a, row in enumerate(re)],
+                    [[-sign * q * x for x in row] for row in im]) for sign in (1, -1))
 
 
 class RationalOperator:
@@ -129,12 +211,7 @@ class RationalOperator:
         Floats already on that grid convert exactly; every other entry moves
         by at most half a grid step in its real and in its imaginary part.
         """
-        return cls._on_grid(as_operator(mat), _CAP_BITS)
-
-    @classmethod
-    def _on_grid(cls, mat, bits):
-        re, im = _grid_scaled(mat, bits)
-        return cls(np.rint(re), np.rint(im), 2**bits)
+        return cls(*map(_int_rows, _grid_scaled(as_operator(mat), _CAP_BITS)), 2**_CAP_BITS)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -196,104 +273,52 @@ class RationalOperator:
         return Fraction(self.re[a][b], self.den), Fraction(self.im[a][b], self.den)
 
     def is_hermitian(self) -> bool:
-        return (self.re == tuple(zip(*self.re))
-                and all(x == -y for row, col in zip(self.im, zip(*self.im))
-                        for x, y in zip(row, col)))
+        return _hermitian(self.re, self.im)
 
     def all_entries_nonzero(self) -> bool:
-        return all(x or y for rx, ry in zip(self.re, self.im) for x, y in zip(rx, ry))
-
-    def _certificate(self) -> bool:
-        """Positive semidefiniteness of a Hermitian operator.
-
-        Pivoted fraction-free symmetric elimination (Bareiss) on the n x n
-        Gaussian-integer matrix M = re + i im = den (A + iB). Each step takes
-        as pivot p the largest remaining diagonal entry d, which is real
-        because M is Hermitian, drops row and column p, and updates the rest
-        as M[i][j] <- (d M[i][j] - M[i][p] M[p][j]) / prev, where prev is the
-        previous pivot (1 at the start).
-
-        Why the division is exact: after pivots p_1..p_s, entry (i, j) equals
-        the minor of the original M on rows {p_1..p_s, i} and columns
-        {p_1..p_s, j}. This is Sylvester's determinant identity, the
-        invariant of Bareiss' scheme, and the update above is that identity
-        applied to the bordered minors. A minor of a Gaussian-integer matrix
-        is a Gaussian integer, and prev is a principal minor of a Hermitian
-        matrix, hence a real integer, so the real and the imaginary part of
-        the numerator are each divisible by prev.
-
-        Why it decides positivity: the remaining block is (d / prev) times
-        the Schur complement of the pivot, so it stays Hermitian and is
-        positive semidefinite exactly when the block before the step was,
-        given d > 0. A negative diagonal entry refutes positivity, and when
-        the largest diagonal entry is zero the block is positive
-        semidefinite only if it vanishes. Only the upper triangle is
-        computed; the lower one is its conjugate.
-        """
-        re = [list(row) for row in self.re]
-        im = [list(row) for row in self.im]
-        live = list(range(self.n))
-        prev = 1
-        while live:
-            diag = [re[i][i] for i in live]
-            if min(diag) < 0:
-                return False
-            d = max(diag)
-            if d == 0:
-                return not any(re[i][j] or im[i][j] for i in live for j in live)
-            p = live.pop(diag.index(d))
-            rp, ip = re[p], im[p]
-            for x, i in enumerate(live):
-                ri, ii = re[i], im[i]
-                a, b = ri[p], ii[p]
-                for j in live[x:]:
-                    c, e = rp[j], ip[j]
-                    ri[j] = r = (d * ri[j] - a * c + b * e) // prev
-                    ii[j] = s = (d * ii[j] - a * e - b * c) // prev
-                    re[j][i], im[j][i] = r, -s
-            prev = d
-        return True
+        return _nonzero(self.re, self.im)
 
     def is_positive_semidefinite(self) -> bool:
-        """Exact PSD certificate by pivoted fraction-free elimination."""
-        return self.is_hermitian() and self._certificate()
+        """Exact PSD certificate by pivoted fraction-free elimination (``_psd``)."""
+        return self.is_hermitian() and _psd(self.re, self.im)
 
     def to_complex(self) -> np.ndarray:
-        # int / int is correctly rounded however large the integers grow
-        out = np.empty((self.n, self.n), dtype=complex)
-        out.real = [[x / self.den for x in row] for row in self.re]
-        out.imag = [[x / self.den for x in row] for row in self.im]
-        return out
+        return _to_complex(self.re, self.im, self.den)
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        def rat(q):
-            return {"num": q.numerator, "den": q.denominator}
-
-        return {
-            "dim": self.n,
-            "entries": [[{"re": rat(e[0]), "im": rat(e[1])} for e in row] for row in self.rows],
-        }
+        entries = [[{part: {"num": q.numerator, "den": q.denominator} for part, q in zip(("re", "im"), e)}
+                    for e in row] for row in self.rows]
+        return {"dim": self.n, "entries": entries}
 
     @classmethod
     def from_json(cls, obj) -> "RationalOperator":
         node = JsonNode(obj, "rational operator")
         n = node["dim"].integer()
-        # each row alternates the (num, den) of an entry's real part and of its imaginary part
-        pairs = [[(q["num"].integer(), q["den"].integer()) for e in row.elements(n)
-                  for q in (e["re"], e["im"])] for row in node["entries"].elements(n)]
-        den = math.lcm(*(d for row in pairs for _, d in row))
+        rows = node["entries"].value
+        # per entry (re num, re den, im num, im den), read off the raw values with one type check;
+        # only on a failure do the typed reads build key paths, so the error names the bad value
+        try:
+            quads = [[(e["re"]["num"], e["re"]["den"], e["im"]["num"], e["im"]["den"]) for e in row]
+                     for row in rows]
+        except (TypeError, KeyError):
+            quads = None
+        if quads is None or type(rows) is not list or len(rows) != n or any(
+                type(row) is not list or len(row) != n or any(type(x) is not int for q in qs for x in q)
+                for row, qs in zip(rows, quads)):
+            quads = [[tuple(q[key].integer() for q in (e["re"], e["im"]) for key in ("num", "den"))
+                      for e in row.elements(n)] for row in node["entries"].elements(n)]
+        den = math.lcm(*(d for row in quads for q in row for d in q[1::2]))
         if not den:
             raise ValidationError(f"{node.path} has a zero denominator")
-        parts = [[[num * (den // d) for num, d in row[part::2]] for row in pairs] for part in (0, 1)]
-        return cls(*parts, den)
+        return cls(*([[q[i] * (den // q[i + 1]) for q in row] for row in quads] for i in (0, 2)), den)
 
 
 def is_admissible(op: RationalOperator) -> bool:
     """Membership in the snapping target set: exactly Hermitian, exactly
     positive semidefinite, and with every matrix entry nonzero."""
-    return op.is_hermitian() and op.all_entries_nonzero() and op.is_positive_semidefinite()
+    return op.all_entries_nonzero() and op.is_positive_semidefinite()
 
 
 def hermitian_norm_at_most(op: RationalOperator, bound: Fraction) -> bool:
@@ -303,8 +328,7 @@ def hermitian_norm_at_most(op: RationalOperator, bound: Fraction) -> bool:
     """
     if not op.is_hermitian():
         raise ValidationError("norm bound check requires a Hermitian operator")
-    b = RationalOperator.identity(op.n).scale(Fraction(bound))
-    return (b - op).is_positive_semidefinite() and (b + op).is_positive_semidefinite()
+    return _norm_at_most(op.re, op.im, op.den, bound)
 
 
 @dataclass(frozen=True)
@@ -347,75 +371,85 @@ class RationalResolution:
         return cls(tuple(RationalOperator.from_json(m) for m in node["members"].elements()))
 
 
-@functools.cache
-def _positive_bump(n: int) -> RationalOperator:
-    # I + J/2**c with 2**c >= 2n: positive definite, every entry nonzero,
-    # spectral norm 1 + n/2**c <= 3/2, and a power-of-two denominator
-    c = (2 * n - 1).bit_length()
-    return RationalOperator([[2**c * (a == b) + 1 for b in range(n)] for a in range(n)],
-                            [[0] * n] * n, 2**c)
-
-
 def rationalize_po(target, delta: float) -> RationalOperator:
-    """Snap one positive operator onto an admissible rational operator within ``delta``.
-
-    When the float entries already form an admissible rational matrix the
-    exact conversion is returned unchanged. Otherwise the operator is
-    factored as X*X, X is rounded entrywise onto the grid of multiples of
-    2**-b, and a shrinking power-of-two multiple of a fixed all-nonzero
-    positive bump is added until every entry is nonzero, so the result has
-    a power-of-two denominator. b is the smallest grid that keeps the
-    rounding's effect on X*X below delta/2, but 2**b never exceeds
-    DEFAULT_DENOMINATOR_CAP. Each entry is affine in the bump weight with a
-    nonzero coefficient, so at most n**2 weights can zero an entry and
-    n**2 + 1 candidates always suffice.
-
-    Raises ValidationError when an entry is too large to scale onto the
-    DEFAULT_DENOMINATOR_CAP grid, and PrecisionError when the achieved
-    distance is not below delta, which happens once delta undercuts the
-    denominator cap's resolution.
-    """
+    """Snap one positive operator onto an admissible rational operator within ``delta``: the
+    one-operator case of ``_rationalize`` (recipe, bounds, errors), over a power of two."""
     mat = as_operator(target)
-    n = mat.shape[0]
     if delta <= 0:
         raise ValidationError("delta must be positive")
-    if not is_hermitian(mat, tol=1e-9):
-        raise ValidationError("target must be Hermitian within 1e-9")
-    re, im = _grid_scaled(mat, _CAP_BITS)
-    w, v = np.linalg.eigh((mat + dagger(mat)) / 2)
+    (re, im, bits), = _rationalize(mat[None], delta)
+    return RationalOperator(re, im, 2**bits)
+
+
+def _rationalize(stack, delta: float) -> list[tuple]:
+    """Snap every positive operator of a (k, n, n) stack within ``delta``; (re, im, e) per operator.
+
+    Float stage, once for the stack: one Hermiticity check, one ``eigh``, one
+    grid rounding, one batched ``spectral_norms`` of the achieved distances.
+    An operator already admissible on the 2**-32 grid (DEFAULT_DENOMINATOR_CAP)
+    is kept exactly; any other is factored as X*X, X rounded onto the grid
+    2**-b, the coarsest keeping the rounding's effect on X*X below delta/2
+    (2**b <= the cap). Exact stage, on integer rows (re, im) over 2**e: X*X
+    plus a shrinking power-of-two multiple of the all-nonzero positive bump
+    I + J/2**c until no entry is zero; an entry is affine in the weight with
+    nonzero slope, so n**2 + 1 candidates suffice. ValidationError for a
+    target not Hermitian within 1e-9, not positive within 1e-8 or too large
+    for the grid; PrecisionError for an achieved distance not below delta,
+    as once delta undercuts the cap's resolution.
+    """
+    k, n = stack.shape[:2]
+    adjoint = stack.conj().swapaxes(-1, -2)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the check
+        if not np.abs(stack - adjoint).max() <= 1e-9:
+            raise ValidationError("target must be Hermitian within 1e-9")
+    re, im = _grid_scaled(stack, _CAP_BITS)
+    w, v = np.linalg.eigh((stack + adjoint) / 2)
     if w.min() < -1e-8:
         raise ValidationError("target must be positive within tolerance")
 
-    if np.array_equal(np.rint(re), re) and np.array_equal(np.rint(im), im):
-        exact = RationalOperator.from_float(mat)
-        if is_admissible(exact):
-            return exact
-
-    w = np.clip(w, 0.0, None)
-    factor = (np.sqrt(w)[:, None]) * dagger(v)
+    out = [None] * k
+    for i in np.flatnonzero(((np.rint(re) == re) & (np.rint(im) == im)).all(axis=(1, 2))):
+        rows = _int_rows(re[i]), _int_rows(im[i])
+        if _nonzero(*rows) and _hermitian(*rows) and _psd(*rows):
+            out[i] = (*rows, _CAP_BITS)
+    todo = [i for i in range(k) if out[i] is None]
+    if not todo:
+        return out
+    w = np.clip(w[todo], 0.0, None)
+    factor = np.sqrt(w)[..., None] * v[todo].conj().swapaxes(-1, -2)
     # rounding moves X by |E| <= n 2**-b / sqrt(2) and X*X by at most
     # |E| (2|X| + |E|), which this grid keeps below delta / (2 sqrt(2))
-    norm_x = math.sqrt(w.max())
-    bits = math.ceil(math.log2(4 * n * (norm_x + 1) / delta))
-    rounded = RationalOperator._on_grid(factor, max(0, min(bits, _CAP_BITS)))
-    base = rounded.dagger() @ rounded
-    bump = _positive_bump(n)
-    # the largest power of two whose bump, of norm <= 3/2, moves by <= delta/4
-    weight0 = Fraction(2) ** -math.ceil(math.log2(6 / delta))
-    if weight0.denominator > DEFAULT_DENOMINATOR_CAP:
+    bits = [max(0, min(math.ceil(math.log2(4 * n * (math.sqrt(x) + 1) / delta)), _CAP_BITS))
+            for x in w.max(axis=1)]
+    xr, xi = _grid_scaled(factor, np.array(bits, np.intc)[:, None, None])  # ldexp takes a C int
+    # the bump 2**-s (I + J/2**c), 2**c >= 2n, has norm <= (3/2) 2**-s <= delta/4
+    c = (2 * n - 1).bit_length()
+    s = math.ceil(math.log2(6 / delta))
+    if s > _CAP_BITS:
         raise PrecisionError("delta is below the resolution of the denominator cap")
-    for j in range(n * n + 1):
-        out = base + bump.scale(weight0 / (2**j))
-        if out.all_entries_nonzero():
-            break
-    else:
-        raise PrecisionError("could not clear zero entries within the candidate budget")
-    achieved = operator_norm(mat - out.to_complex())
-    if not achieved < delta:
-        raise PrecisionError(
-            f"achieved distance {achieved:.3e} does not beat delta {delta:.3e}; "
-            "raise delta"
-        )
+    for i, b, x_re, x_im in zip(todo, bits, xr, xi):
+        # X*X over 2**(2b): (X*X)[a][d] = sum_t conj(X[t][a]) X[t][d] is column a of (re; im)
+        # dotted with column d of (re; im) plus i times with column d of (im; -re)
+        x_re, x_im = _int_rows(x_re), _int_rows(x_im)
+        left = list(zip(*x_re, *x_im))
+        right = list(zip(*x_im, *(tuple(-x for x in row) for row in x_re)))
+        g_re, g_im = ([[_dot(a, d) for d in cols] for a in left] for cols in (left, right))
+        for j in range(n * n + 1):
+            # X*X plus the bump at weight 2**-(s + j), both over 2**e
+            e = max(2 * b, c + s + j)
+            lift, shift = e - 2 * b, e - c - s - j
+            rows = ([[(x << lift) + ((((a == d) << c) + 1) << shift) for d, x in enumerate(row)]
+                     for a, row in enumerate(g_re)], [[x << lift for x in row] for row in g_im])
+            if _nonzero(*rows):
+                out[i] = (*rows, e)
+                break
+        else:
+            raise PrecisionError("could not clear zero entries within the candidate budget")
+    snapped = [_to_complex(*out[i][:2], 2**out[i][2]) for i in todo]
+    for dist in spectral_norms(stack[todo] - np.array(snapped)):
+        if not dist < delta:
+            raise PrecisionError(f"achieved distance {dist:.3e} does not beat delta {delta:.3e}; "
+                                 "raise delta")
     return out
 
 
@@ -480,8 +514,10 @@ def snap_resolution(targets, eps: float, return_diagnostics: bool = False):
 
 
 def _snap(mats, eps: float) -> tuple[RationalResolution, SnapDiagnostics]:
-    """``snap_resolution``'s recipe on targets already proved a resolution of k >= 2 members."""
-    k, n = len(mats), len(mats[0])
+    """``snap_resolution``'s recipe on targets already proved a resolution of k >= 2 members: one
+    ``_rationalize`` stack, then integer rows over one 2**e until the members become operators."""
+    stack = np.asarray(mats, dtype=complex)
+    k, n = stack.shape[:2]
     bound = Fraction(eps).limit_denominator(10**6) * Fraction(3, 4)
     while not (0 < bound and float(bound) < eps):
         bound /= 2
@@ -489,41 +525,41 @@ def _snap(mats, eps: float) -> tuple[RationalResolution, SnapDiagnostics]:
             raise PrecisionError("eps too small to bracket with a rational bound")
     delta = min(bound / (2 + 2 * k), Fraction(1, 4 * k))
     reach = k * delta
-    shrink = 1 - Fraction(1, 2 ** ((reach.denominator // reach.numerator).bit_length() - 1))
+    u_bits = (reach.denominator // reach.numerator).bit_length() - 1  # u = 2**-u_bits
+    primed = _rationalize(float(1 - Fraction(1, 2**u_bits)) * stack, float(delta))
 
-    primed = [rationalize_po(float(shrink) * m, float(delta)) for m in mats]
-    total = sum(primed[1:], primed[0])
-    ident = RationalOperator.identity(n)
-    gap_ok = hermitian_norm_at_most(total - ident.scale(shrink), reach)
+    e = max(u_bits, *(bits for *_, bits in primed))
+    primed = [[[[x << (e - bits) for x in row] for row in part] for part in (re, im)]
+              for re, im, bits in primed]
+    total_re, total_im = ([[sum(xs) for xs in zip(*rows)] for rows in zip(*parts)]
+                          for parts in zip(*primed))
+    shrunk = (1 << e) - (1 << (e - u_bits))  # (1 - u) I over 2**e
+    gap_ok = _norm_at_most([[x - shrunk * (a == b) for b, x in enumerate(row)]
+                            for a, row in enumerate(total_re)], total_im, 1 << e, reach)
     if not gap_ok:
         raise PrecisionError("rationalized sum strayed farther from (1-u) I than k*delta")
-    gap = ident - total
+    gap = ([[((a == b) << e) - x for b, x in enumerate(row)] for a, row in enumerate(total_re)],
+           [[-x for x in row] for row in total_im])
 
     coeffs = _mixing_coefficients(k)
-    step0 = Fraction(1, k**4)
-    for attempt in range(k * n * n + 2):
-        step = step0 / (attempt + 1)
-        weights = [Fraction(1, k) + c * step for c in coeffs]
-        members = [primed[i] + gap.scale(weights[i]) for i in range(k)]
-        if all(c.all_entries_nonzero() for c in members):
+    for attempt in range(1, k * n * n + 3):
+        # weights 1/k + c/(k**4 attempt), as numerators over one denominator
+        den = k**4 * attempt
+        weights = [k**3 * attempt + c for c in coeffs]
+        members = [[[[den * x + t * g for x, g in zip(xs, gs)] for xs, gs in zip(part, gap_part)]
+                    for part, gap_part in zip(parts, gap)] for parts, t in zip(primed, weights)]
+        if all(_nonzero(*m) for m in members):
             break
     else:
         raise PrecisionError("could not clear zero entries across the weight candidates")
 
-    resolution = RationalResolution(tuple(members))
+    resolution = RationalResolution(tuple(RationalOperator(*m, den << e) for m in members))
 
-    shifts = [operator_norm(mats[i] - members[i].to_complex()) for i in range(k)]
-    max_shift = float(max(shifts))
+    max_shift = float(spectral_norms(stack - np.array(resolution.to_complex())).max())
     if not max_shift < eps:
         raise PrecisionError(f"snap moved a member by {max_shift:.3e}, not below eps {eps:.3e}")
-
-    return resolution, SnapDiagnostics(
-        rational_bound=bound,
-        per_member_delta=delta,
-        mix_weights=tuple(weights),
-        max_member_shift=max_shift,
-        sum_gap_within_bound=gap_ok,
-    )
+    return resolution, SnapDiagnostics(bound, delta, tuple(Fraction(t, den) for t in weights),
+                                       max_shift, gap_ok)
 
 
 @dataclass(frozen=True, eq=False)
@@ -627,15 +663,16 @@ class ResolutionRegistry:
         m = self.smallest_free_index(eps_remaining)
         tagged = phase_tag(base, m)
         self._check_disjoint(tagged)
-        self._append(tagged)
+        self._append([tagged])
         return tagged
 
-    def _append(self, tagged: TaggedResolution) -> None:
-        self._members = np.concatenate([self._members, tagged.members])
-        self._owners = np.append(self._owners, [tagged.index] * tagged.k)
-        self._sizes = np.append(self._sizes, tagged.k)
-        self.entries.append(tagged)
-        self._used.add(tagged.index)
+    def _append(self, tagged: list[TaggedResolution]) -> None:
+        self._members = np.concatenate([self._members, *(t.members for t in tagged)])
+        self._owners = np.append(self._owners, np.array([t.index for t in tagged for _ in t.members],
+                                                        np.int64))
+        self._sizes = np.append(self._sizes, np.array([t.k for t in tagged], np.int64))
+        self.entries += tagged
+        self._used.update(t.index for t in tagged)
 
     def _check_disjoint(self, tagged: TaggedResolution) -> None:
         _, cols, dist = spectral_distances(tagged.members, self._members, DISJOINTNESS_FLOOR)
@@ -674,14 +711,17 @@ class ResolutionRegistry:
     def from_json(cls, obj) -> "ResolutionRegistry":
         node = JsonNode(obj, "registry")
         reg = cls(node["dim"].integer())
+        entries, seen = [], set()
         for entry in node["entries"].elements():
             base = RationalResolution.from_json(entry["base"])
             if base.dim != reg.dim:
                 raise ValidationError("registry entry dimension does not match the registry")
             tagged = phase_tag(base, entry["index"].integer())
-            if tagged.index in reg._used:
+            if tagged.index in seen:
                 raise ValidationError(f"registry index {tagged.index} appears twice")
-            reg._append(tagged)
+            seen.add(tagged.index)
+            entries.append(tagged)
+        reg._append(entries)
         rows, cols, dist = spectral_distances(reg._members, None, DISJOINTNESS_FLOOR, reg._owners)
         for i, j in zip(rows[dist <= DISJOINTNESS_FLOOR], cols[dist <= DISJOINTNESS_FLOOR]):
             raise RegistryCollisionError(f"member of index {reg._owners[i]} coincides with one "

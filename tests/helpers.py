@@ -144,6 +144,137 @@ def reference_semidefinite(rows):
     return all(reference_minor(ints, idx)[0] >= 0 for idx in subsets)
 
 
+def _reference_grid_scaled(mat, bits):
+    from nchv.errors import ValidationError
+
+    with np.errstate(over="ignore"):
+        re, im = mat.real * 2.0**bits, mat.imag * 2.0**bits
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValidationError(f"cannot rationalize an entry not finite on the 2**-{bits} grid")
+    return re, im
+
+
+def reference_norm_at_most(op, bound):
+    """|op| <= bound through positivity of bound*I - op and bound*I + op, operator by operator."""
+    from nchv.errors import ValidationError
+    from nchv.povmfamily import RationalOperator
+
+    if not op.is_hermitian():
+        raise ValidationError("norm bound check requires a Hermitian operator")
+    b = RationalOperator.identity(op.n).scale(Fraction(bound))
+    return (b - op).is_positive_semidefinite() and (b + op).is_positive_semidefinite()
+
+
+def reference_rationalize_po(target, delta):
+    """One operator at a time, the snap of one positive operator within ``delta``.
+
+    The recipe ``povmfamily.rationalize_po`` must agree with, value for value
+    and error type for error type: one Hermiticity check, one ``eigh`` and
+    one grid rounding per operator, arithmetic on ``RationalOperator``s.
+    """
+    from nchv.errors import PrecisionError, ValidationError
+    from nchv.opcore import as_operator, dagger, is_hermitian, operator_norm
+    from nchv.povmfamily import RationalOperator, is_admissible
+
+    mat = as_operator(target)
+    n = mat.shape[0]
+    if delta <= 0:
+        raise ValidationError("delta must be positive")
+    if not is_hermitian(mat, tol=1e-9):
+        raise ValidationError("target must be Hermitian within 1e-9")
+    re, im = _reference_grid_scaled(mat, 32)
+    w, v = np.linalg.eigh((mat + dagger(mat)) / 2)
+    if w.min() < -1e-8:
+        raise ValidationError("target must be positive within tolerance")
+
+    if np.array_equal(np.rint(re), re) and np.array_equal(np.rint(im), im):
+        exact = RationalOperator(np.rint(re), np.rint(im), 2**32)
+        if is_admissible(exact):
+            return exact
+    w = np.clip(w, 0.0, None)
+    factor = (np.sqrt(w)[:, None]) * dagger(v)
+    norm_x = math.sqrt(w.max())
+    bits = math.ceil(math.log2(4 * n * (norm_x + 1) / delta))
+    bits = max(0, min(bits, 32))
+    rounded = RationalOperator(*map(np.rint, _reference_grid_scaled(factor, bits)), 2**bits)
+    base = rounded.dagger() @ rounded
+    c = (2 * n - 1).bit_length()
+    bump = RationalOperator([[2**c * (a == b) + 1 for b in range(n)] for a in range(n)],
+                            [[0] * n] * n, 2**c)
+    weight0 = Fraction(2) ** -math.ceil(math.log2(6 / delta))
+    if weight0.denominator > 2**32:
+        raise PrecisionError("delta is below the resolution of the denominator cap")
+    for j in range(n * n + 1):
+        out = base + bump.scale(weight0 / (2**j))
+        if out.all_entries_nonzero():
+            break
+    else:
+        raise PrecisionError("could not clear zero entries within the candidate budget")
+    achieved = operator_norm(mat - out.to_complex())
+    if not achieved < delta:
+        raise PrecisionError(
+            f"achieved distance {achieved:.3e} does not beat delta {delta:.3e}; "
+            "raise delta"
+        )
+    return out
+
+
+def reference_snap(mats, eps):
+    """Member by member, the snap of a proved resolution ``povmfamily._snap`` must reproduce.
+
+    Each shrunk target goes through ``reference_rationalize_po``; the sum,
+    the gap certificate, the mixing weights and the members are
+    ``RationalOperator`` arithmetic, and every member's shift is one SVD.
+    Returns (RationalResolution, SnapDiagnostics).
+    """
+    from nchv.errors import PrecisionError
+    from nchv.opcore import as_operator, operator_norm
+    from nchv.povmfamily import RationalOperator, RationalResolution, SnapDiagnostics
+
+    mats = [as_operator(m) for m in mats]
+    k, n = len(mats), len(mats[0])
+    bound = Fraction(eps).limit_denominator(10**6) * Fraction(3, 4)
+    while not (0 < bound and float(bound) < eps):
+        bound /= 2
+        if bound < Fraction(1, 10**18):
+            raise PrecisionError("eps too small to bracket with a rational bound")
+    delta = min(bound / (2 + 2 * k), Fraction(1, 4 * k))
+    reach = k * delta
+    shrink = 1 - Fraction(1, 2 ** ((reach.denominator // reach.numerator).bit_length() - 1))
+
+    primed = [reference_rationalize_po(float(shrink) * m, float(delta)) for m in mats]
+    total = sum(primed[1:], primed[0])
+    ident = RationalOperator.identity(n)
+    gap_ok = reference_norm_at_most(total - ident.scale(shrink), reach)
+    if not gap_ok:
+        raise PrecisionError("rationalized sum strayed farther from (1-u) I than k*delta")
+    gap = ident - total
+
+    coeffs = list(range(1, k)) + [-k * (k - 1) // 2]
+    step0 = Fraction(1, k**4)
+    for attempt in range(k * n * n + 2):
+        step = step0 / (attempt + 1)
+        weights = [Fraction(1, k) + c * step for c in coeffs]
+        members = [primed[i] + gap.scale(weights[i]) for i in range(k)]
+        if all(c.all_entries_nonzero() for c in members):
+            break
+    else:
+        raise PrecisionError("could not clear zero entries across the weight candidates")
+
+    resolution = RationalResolution(tuple(members))
+    shifts = [operator_norm(mats[i] - members[i].to_complex()) for i in range(k)]
+    max_shift = float(max(shifts))
+    if not max_shift < eps:
+        raise PrecisionError(f"snap moved a member by {max_shift:.3e}, not below eps {eps:.3e}")
+    return resolution, SnapDiagnostics(
+        rational_bound=bound,
+        per_member_delta=delta,
+        mix_weights=tuple(weights),
+        max_member_shift=max_shift,
+        sum_gap_within_bound=gap_ok,
+    )
+
+
 def _rational_json(q):
     return {"num": q.numerator, "den": q.denominator}
 

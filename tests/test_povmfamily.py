@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -14,8 +15,11 @@ from hypothesis import strategies as st
 
 from helpers import (
     random_density,
+    random_hermitian,
     random_resolution,
+    reference_rationalize_po,
     reference_semidefinite,
+    reference_snap,
     saved_layout_registry,
 )
 from nchv import opcore, povmfamily
@@ -31,6 +35,8 @@ from nchv.povmfamily import (
     RationalResolution,
     ResolutionRegistry,
     _povm_weights,
+    _rationalize,
+    _snap,
     hermitian_norm_at_most,
     is_admissible,
     phase_tag,
@@ -86,6 +92,34 @@ class TestRationalOperator:
         )
         again = RationalOperator.from_json(m.to_json())
         assert again == m
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda o: o["entries"][1][0]["im"].update(den=2.7), "entries[1][0].im.den must be an integer, got 2.7"),
+        (lambda o: o["entries"][0][1]["re"].update(num=True),
+         "entries[0][1].re.num must be an integer, got a boolean"),
+        # the first failing read decides: the missing key before the bad number read after it
+        (lambda o: (o["entries"][0][1].pop("im"), o["entries"][0][1]["re"].update(num="3")),
+         "entries[0][1] must be an object with a key 'im', got an object without it"),
+        (lambda o: o["entries"][1].pop(), "entries[1] must be a list of 2 items, got 1 items"),
+        (lambda o: o["entries"][0].__setitem__(0, [1, 2]),
+         "entries[0][0] must be an object with a key 're', got a list"),
+        (lambda o: o.__setitem__("entries", {"a": [], "b": []}),
+         "entries must be a list of 2 items, got an object"),
+    ], ids=["float", "bool", "missing-first", "short-row", "list-entry", "object-rows"])
+    def test_json_errors_name_the_key_path(self, edit, message):
+        obj = rational([[0.5, 0.125 + 0.25j], [0.125 - 0.25j, 0.75]]).to_json()
+        edit(obj)
+        with pytest.raises(ValidationError, match=re.escape(f"rational operator.{message}") + "$"):
+            RationalOperator.from_json(obj)
+
+    def test_json_entries_are_read_without_a_node_per_key(self, monkeypatch):
+        keys = []
+        real = opcore.JsonNode.__getitem__
+        monkeypatch.setattr(opcore.JsonNode, "__getitem__",
+                            lambda self, key: keys.append(key) or real(self, key))
+        m = rational([[0.5, 0.125 + 0.25j], [0.125 - 0.25j, 0.75]])
+        assert RationalOperator.from_json(m.to_json()) == m
+        assert keys == ["dim", "entries"]
 
     def test_norm_bound_is_exact(self):
         m = rational([[0.5, 0], [0, -1.0 / 3.0]])
@@ -386,6 +420,100 @@ class TestSnapResolution:
         for m in res.members[1:]:
             total = total + m
         assert total == RationalOperator.identity(n)
+
+
+def _outcome(fn, *args):
+    """The return value of ``fn(*args)``, or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is the result compared
+        return type(exc)
+
+
+class TestStackedSnap:
+    """The stacked float pass and the integer grid against the member-by-member recipe."""
+
+    # below 5e-7 the rational bound rounds to zero, so 1e-7 raises on both sides
+    PARITY_EPS = (0.3, 0.1, 3e-2, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 6e-7, 1e-7)
+
+    def test_matches_the_reference_on_the_parity_grid(self):
+        outcomes = []
+        for seed in (0, 1):
+            for n in range(2, 7):
+                for k in range(2, 6):
+                    targets = random_resolution(n, k, np.random.default_rng([seed, n, k]))
+                    for eps in self.PARITY_EPS:
+                        got = _outcome(snap_resolution, targets, eps, True)
+                        assert got == _outcome(reference_snap, targets, eps), (seed, n, k, eps)
+                        outcomes.append(got)
+        assert len(outcomes) == 400 and outcomes.count(PrecisionError) == 40
+
+    @pytest.mark.parametrize("eps", [0.3, 0.05, 1e-4])
+    def test_mixed_stack_with_a_member_already_on_the_grid(self, eps):
+        on_grid = np.array([[0.5, 0.25], [0.25, 0.5]])
+        rest = np.eye(2) - on_grid
+        wobble = 0.01 * random_hermitian(2, np.random.default_rng(3))
+        targets = [on_grid, rest / 3 + wobble, 2 * rest / 3 - wobble]
+        assert snap_resolution(targets, eps, return_diagnostics=True) == reference_snap(targets, eps)
+        if eps == 0.3:
+            # k = 3 at eps 0.3 shrinks by 7/8, which keeps the first target on the 2**-32 grid
+            primed = _rationalize(0.875 * np.array(targets, dtype=complex), 9 / 320)
+            assert [bits for *_, bits in primed][0] == 32
+            re, im, _ = primed[0]
+            assert RationalOperator(re, im, 2**32) == RationalOperator.from_float(0.875 * on_grid)
+
+    @pytest.mark.parametrize("target, delta", [
+        (np.array([[0.5, 0.1], [0.3, 0.5]]), 1e-3),
+        (np.diag([1.0, -0.2]), 1e-3),
+        (np.array([[0.5, np.nan], [np.nan, 0.5]]), 1e-3),
+        (np.array([[np.inf, 0.0], [0.0, 0.5]]), 1e-3),
+        (np.diag([1e300, 1.0]), 1e-3),
+        (np.diag([0.5, 0.5]), 1e-12),
+        (np.full((2, 2), 0.3) + 0.1 * np.eye(2), 1e-12),
+        (np.array([[0.75, 0.125], [0.125, 0.25]]), 1e-12),
+    ], ids=["non-hermitian", "negative", "nan", "inf", "overflow", "below-cap", "below-cap-full",
+            "exact-below-cap"])
+    def test_errors_match_the_reference(self, target, delta):
+        # inf - inf warns in the reference's Hermiticity check
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _outcome(reference_rationalize_po, target, delta)
+        assert _outcome(rationalize_po, target, delta) == want
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(rationalize_po, target, delta) == want
+
+    # a delta below the cap is out of a snap's reach (the rationalize_po cases above take it):
+    # from eps 5e-7 on delta >= 3e-8, and every smaller eps fails to bracket first
+    @pytest.mark.parametrize("eps", [1e-19, 1e-9, 4.9e-7])
+    def test_eps_too_small_to_bracket_matches_the_reference(self, eps):
+        targets = random_resolution(3, 3, np.random.default_rng(8))
+        want = _outcome(reference_snap, targets, eps)
+        assert want is PrecisionError
+        assert _outcome(_snap, targets, eps) is want
+
+    def test_stack_errors_name_the_reference_check(self):
+        good = random_resolution(2, 2, np.random.default_rng(9))
+        for bad in (np.array([[0.5, 0.1], [0.3, 0.5]]), np.diag([1.0, -0.2])):
+            with pytest.raises(ValidationError) as exc:
+                _rationalize(np.array([good[0], bad, good[1]], dtype=complex), 1e-3)
+            with pytest.raises(ValidationError) as ref:
+                reference_rationalize_po(bad, 1e-3)
+            assert str(exc.value) == str(ref.value)
+
+    @pytest.mark.parametrize("n, k", [(2, 3), (4, 5)])
+    def test_one_eigh_and_at_most_2k_rational_operators(self, n, k, monkeypatch):
+        targets = random_resolution(n, k, np.random.default_rng(n + k))
+        eighs, built = [], []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda a, *args, real=real, **kw: eighs.append(1) or real(a, *args, **kw))
+        init = RationalOperator.__init__
+        monkeypatch.setattr(RationalOperator, "__init__",
+                            lambda self, *args: built.append(1) or init(self, *args))
+        _snap(targets, 1e-4)
+        assert len(eighs) == 1
+        assert len(built) <= 2 * k
 
 
 class TestRationalResolution:
