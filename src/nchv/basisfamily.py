@@ -171,34 +171,33 @@ def min_cross_commutator_norm(first: OrthonormalBasis, second: OrthonormalBasis)
     return min_commutator_norm(first.mat, second.mat[None])
 
 
-def totally_incompatible(first: OrthonormalBasis, second: OrthonormalBasis, floor: float = DEFAULT_FLOOR) -> bool:
-    """True when every cross pair of nontrivial subset projections has |[P, P']| > floor."""
-    if floor <= 0:
-        raise ValidationError("floor must be positive")
-    return min_cross_commutator_norm(first, second) > floor
+def totally_incompatible(first: OrthonormalBasis, second: OrthonormalBasis) -> bool:
+    """True when every cross pair of nontrivial subset projections has |[P, P']| > DEFAULT_FLOOR."""
+    return min_cross_commutator_norm(first, second) > DEFAULT_FLOOR
 
 
 def repair_member(
     candidate: OrthonormalBasis,
     stack: np.ndarray,
     budget: float,
-    floor: float = DEFAULT_FLOOR,
     rng: np.random.Generator | None = None,
     index: int | None = None,
     seed: int | None = None,
 ) -> FamilyMember:
     """Return a member totally incompatible with every basis of the (m, n, n) ``stack``.
 
-    The candidate is kept unchanged when it already clears everything.
-    Otherwise random nearby bases are tried at radii budget, budget/2, ...
-    (RADIUS_LEVELS levels, ATTEMPTS_PER_RADIUS draws each) until one
-    clears, so the returned basis is within ``budget`` of the candidate.
+    Every cross commutator norm must exceed DEFAULT_FLOOR. The candidate
+    is kept unchanged when it already clears everything. Otherwise random
+    nearby bases are tried at radii budget, budget/2, ... (RADIUS_LEVELS
+    levels, ATTEMPTS_PER_RADIUS draws each) until one clears, so the
+    returned basis is within ``budget`` of the candidate.
     Raises RepairExhaustedError when every attempt fails.
     """
     if budget <= 0:
         raise ValidationError("budget must be positive")
     if index is None:
         index = len(stack) + 1
+    floor = DEFAULT_FLOOR
     if min_commutator_norm(candidate.mat, stack, floor) > floor:
         return FamilyMember(index, candidate, Provenance(seed, 0, 0.0))
     if rng is None:
@@ -219,33 +218,29 @@ def repair_member(
     )
 
 
-def generate_family(n: int, count: int, seed: int, net_bound: float = DEFAULT_NET_BOUND,
-                    floor: float = DEFAULT_FLOOR) -> BasisFamily:
+def generate_family(n: int, count: int, seed: int) -> BasisFamily:
     """Grow a family of ``count`` pairwise totally incompatible bases.
 
-    Member m gets repair budget min(net_bound, 2**-m), so the sequence of
-    raw pseudo-uniform draws is disturbed less and less as it grows; from
-    m = 1075 on, where 2**-m underflows, it is the smallest positive float.
-    Deterministic: the same seed reproduces the family bit for bit.
+    Member m gets repair budget min(DEFAULT_NET_BOUND, 2**-m), so the
+    sequence of raw pseudo-uniform draws is disturbed less and less as it
+    grows; from m = 1075 on, where 2**-m underflows, it is the smallest
+    positive float. Deterministic: the same seed reproduces the family bit for bit.
     """
     if n < 2:
         raise ValidationError("dimension must be at least 2")
     if count < 1:
         raise ValidationError("count must be at least 1")
-    if net_bound <= 0 or floor <= 0:
-        raise ValidationError("net_bound and floor must be positive")
     rng = np.random.default_rng(seed)
     stack = np.empty((count, n, n), dtype=complex)
     members: list[FamilyMember] = []
     for m in range(1, count + 1):
         raw = haar_basis(n, rng)
-        budget = max(min(net_bound, 2.0 ** (-m)), math.ulp(0.0))
-        member = repair_member(raw, stack[:m - 1], budget, floor, rng, index=m, seed=seed)
+        budget = max(min(DEFAULT_NET_BOUND, 2.0 ** (-m)), math.ulp(0.0))
+        member = repair_member(raw, stack[:m - 1], budget, rng, index=m, seed=seed)
         stack[m - 1] = member.basis.mat
         members.append(member)
-    return BasisFamily(
-        dim=n, net_bound=float(net_bound), floor=float(floor), seed=int(seed), members=tuple(members)
-    )
+    return BasisFamily(dim=n, net_bound=float(DEFAULT_NET_BOUND), floor=float(DEFAULT_FLOOR),
+                       seed=int(seed), members=tuple(members))
 
 
 def nearest_member(family: BasisFamily, target: OrthonormalBasis):

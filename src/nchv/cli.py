@@ -9,7 +9,8 @@ Subcommands:
     kscheck           search a projection fixture for truth functions
 
 Exit codes: 0 on success, 2 when no realization candidate exists, 3 when a
-precision target is unattainable, 4 on validation or search-budget errors.
+precision target is unattainable, 4 on validation or search-budget errors,
+a malformed command line included.
 """
 
 from __future__ import annotations
@@ -29,8 +30,16 @@ from .simulator import MeasurementRequest, SimulationContext, run_trials
 __all__ = ["main", "build_parser"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that raises ValidationError where argparse would exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nchv",
         description="simulate finite-precision quantum measurements with "
                     "non-contextual hidden-variable bookkeeping",
@@ -43,10 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True, help="Hilbert space dimension")
     gen.add_argument("--count", type=int, required=True, help="number of members")
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--net-bound", type=float, default=1.7,
-                     help="cap on how far repair may move a member")
-    gen.add_argument("--floor", type=float, default=1e-8,
-                     help="minimum cross-member commutator norm")
     gen.add_argument("--out", required=True, help="output JSON path")
     gen.add_argument("--check", action="store_true",
                      help="recompute the achieved incompatibility floor")
@@ -114,8 +119,7 @@ def _emit_report(report, spec: str | None):
 
 
 def _cmd_family_gen(args) -> int:
-    family = generate_family(args.n, args.count, seed=args.seed,
-                             net_bound=args.net_bound, floor=args.floor)
+    family = generate_family(args.n, args.count, seed=args.seed)
     family.save(args.out)
     moved = sum(m.provenance.replacements for m in family.members)
     print(f"wrote {args.count} bases of dimension {args.n} to {args.out} "
@@ -182,8 +186,8 @@ def _cmd_kscheck(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "family":
             return _cmd_family_gen(args)
         if args.command == "simulate":

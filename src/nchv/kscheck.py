@@ -272,8 +272,10 @@ def find_truth_functions(problem: ValuationProblem, limit=None) -> SearchResult:
     search is deterministic: lowest undecided index first, 0 before 1.
     ``limit`` stops the enumeration once that many solutions are in hand;
     a run cut short reports exhausted False. Raises SearchCapError past
-    DEFAULT_SEARCH_BUDGET decisions.
+    DEFAULT_SEARCH_BUDGET decisions, and ValidationError for a limit below 1.
     """
+    if limit is not None and limit < 1:
+        raise ValidationError(f"limit must be at least 1, got {limit}")
     n = problem.size
     ctxs = [list(r) for r in problem.resolutions]
     var_ctxs: list[list[int]] = [[] for _ in range(n)]
@@ -361,6 +363,8 @@ def problem_from_family(family, count=None) -> ValuationProblem:
     """Universe of member atoms; one resolution per member, nothing shared."""
     from .opcore import atom_projections
 
+    if count is not None and count < 1:
+        raise ValidationError(f"count must be at least 1, got {count}")
     members = family.members if count is None else family.members[:count]
     if not members:
         raise ValidationError("family slice is empty")

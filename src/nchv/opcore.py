@@ -205,9 +205,10 @@ def min_commutator_norm(first: np.ndarray, others: np.ndarray, stop_at: float = 
     return best
 
 
-def is_hermitian(op, tol: float = STRUCT_TOL) -> bool:
+def is_hermitian(op) -> bool:
+    """True when every entry of op - op* is within STRUCT_TOL of zero."""
     mat = as_operator(op)
-    return bool(np.max(np.abs(mat - dagger(mat))) <= tol)
+    return bool(np.max(np.abs(mat - dagger(mat))) <= STRUCT_TOL)
 
 
 def check_projection(op) -> int:

@@ -96,6 +96,8 @@ class PartialBooleanAlgebra:
 
     @classmethod
     def from_family(cls, family: BasisFamily, count: int | None = None) -> "PartialBooleanAlgebra":
+        if count is not None and count < 1:
+            raise ValidationError(f"count must be at least 1, got {count}")
         members = family.members if count is None else family.members[:count]
         return cls(build_block(m) for m in members)
 

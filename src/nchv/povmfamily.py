@@ -60,7 +60,6 @@ __all__ = [
     "TaggedResolution",
     "ResolutionRegistry",
     "is_admissible",
-    "hermitian_norm_at_most",
     "rationalize_po",
     "snap_resolution",
     "phase_tag",
@@ -196,10 +195,6 @@ class RationalOperator:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zeros(cls, n):
-        return cls([[0] * n] * n, [[0] * n] * n)
-
-    @classmethod
     @functools.cache
     def identity(cls, n):
         return cls([[int(a == b) for b in range(n)] for a in range(n)], [[0] * n] * n)
@@ -269,9 +264,6 @@ class RationalOperator:
             for ra, rb in zip(self.re, self.im)
         )
 
-    def entry(self, a, b):
-        return Fraction(self.re[a][b], self.den), Fraction(self.im[a][b], self.den)
-
     def is_hermitian(self) -> bool:
         return _hermitian(self.re, self.im)
 
@@ -321,16 +313,6 @@ def is_admissible(op: RationalOperator) -> bool:
     return op.all_entries_nonzero() and op.is_positive_semidefinite()
 
 
-def hermitian_norm_at_most(op: RationalOperator, bound: Fraction) -> bool:
-    """Exact check that a Hermitian rational operator has |M| <= bound.
-
-    Certified through positivity of bound*I - M and bound*I + M.
-    """
-    if not op.is_hermitian():
-        raise ValidationError("norm bound check requires a Hermitian operator")
-    return _norm_at_most(op.re, op.im, op.den, bound)
-
-
 @dataclass(frozen=True)
 class RationalResolution:
     """Admissible rational operators summing to the identity exactly."""
@@ -375,8 +357,8 @@ def rationalize_po(target, delta: float) -> RationalOperator:
     """Snap one positive operator onto an admissible rational operator within ``delta``: the
     one-operator case of ``_rationalize`` (recipe, bounds, errors), over a power of two."""
     mat = as_operator(target)
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValidationError(f"delta must be a finite positive number, got {delta}")
     (re, im, bits), = _rationalize(mat[None], delta)
     return RationalOperator(re, im, 2**bits)
 
@@ -418,15 +400,17 @@ def _rationalize(stack, delta: float) -> list[tuple]:
     w = np.clip(w[todo], 0.0, None)
     factor = np.sqrt(w)[..., None] * v[todo].conj().swapaxes(-1, -2)
     # rounding moves X by |E| <= n 2**-b / sqrt(2) and X*X by at most
-    # |E| (2|X| + |E|), which this grid keeps below delta / (2 sqrt(2))
-    bits = [max(0, min(math.ceil(math.log2(4 * n * (math.sqrt(x) + 1) / delta)), _CAP_BITS))
+    # |E| (2|X| + |E|), which this grid keeps below delta / (2 sqrt(2));
+    # a quotient past the float range is inf, whose log2 the cap clamps
+    bits = [max(0, math.ceil(min(math.log2(4 * n * (math.sqrt(x) + 1) / delta), _CAP_BITS)))
             for x in w.max(axis=1)]
     xr, xi = _grid_scaled(factor, np.array(bits, np.intc)[:, None, None])  # ldexp takes a C int
     # the bump 2**-s (I + J/2**c), 2**c >= 2n, has norm <= (3/2) 2**-s <= delta/4
     c = (2 * n - 1).bit_length()
-    s = math.ceil(math.log2(6 / delta))
-    if s > _CAP_BITS:
+    scale = math.log2(6 / delta)  # inf for a subnormal delta
+    if scale > _CAP_BITS:
         raise PrecisionError("delta is below the resolution of the denominator cap")
+    s = math.ceil(scale)
     for i, b, x_re, x_im in zip(todo, bits, xr, xi):
         # X*X over 2**(2b): (X*X)[a][d] = sum_t conj(X[t][a]) X[t][d] is column a of (re; im)
         # dotted with column d of (re; im) plus i times with column d of (im; -re)
@@ -505,8 +489,8 @@ def snap_resolution(targets, eps: float, return_diagnostics: bool = False):
     if k < 2:
         raise ValidationError("need at least two targets")
     require_same_dim(*mats)
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValidationError(f"eps must be a finite positive number, got {eps}")
     if not validate_resolution(mats):
         raise ValidationError("targets are not a positive-operator resolution of the identity")
     resolution, diagnostics = _snap(mats, eps)
@@ -518,11 +502,12 @@ def _snap(mats, eps: float) -> tuple[RationalResolution, SnapDiagnostics]:
     ``_rationalize`` stack, then integer rows over one 2**e until the members become operators."""
     stack = np.asarray(mats, dtype=complex)
     k, n = stack.shape[:2]
-    bound = Fraction(eps).limit_denominator(10**6) * Fraction(3, 4)
-    while not (0 < bound and float(bound) < eps):
+    # below 5e-7 the nearest fraction of denominator at most 10**6 is 0, so eps itself is used
+    bound = (Fraction(eps).limit_denominator(10**6) or Fraction(eps)) * Fraction(3, 4)
+    while bound and not float(bound) < eps:
         bound /= 2
-        if bound < Fraction(1, 10**18):
-            raise PrecisionError("eps too small to bracket with a rational bound")
+    if bound < Fraction(1, 10**18):
+        raise PrecisionError("eps too small to bracket with a rational bound")
     delta = min(bound / (2 + 2 * k), Fraction(1, 4 * k))
     reach = k * delta
     u_bits = (reach.denominator // reach.numerator).bit_length() - 1  # u = 2**-u_bits

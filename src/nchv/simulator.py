@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -87,8 +87,8 @@ class MeasurementRequest:
     def __post_init__(self):
         if self.kind not in ("pvm", "povm"):
             raise ValidationError(f"unknown request kind {self.kind!r}")
-        if self.precision <= 0:
-            raise ValidationError("precision must be positive")
+        if not 0 < self.precision < np.inf:
+            raise ValidationError(f"precision must be a finite positive number, got {self.precision}")
         if self.kind == "pvm":
             if self.observable is None:
                 raise ValidationError("projective request needs an observable")
@@ -373,9 +373,9 @@ def _realized_distances(targets, cands) -> list[float]:
 _CHUNK = 8192
 
 
-def _grouped_outcomes(cand_ids: np.ndarray, weights: np.ndarray, rng: np.random.Generator,
-                      keep: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """Outcome counts from seeded uniforms, plus each trial's outcome when ``keep`` asks.
+def _grouped_outcomes(cand_ids: np.ndarray, weights: np.ndarray,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Outcome counts from seeded uniforms handed out by candidate.
 
     Candidate c takes the next ``bincount(cand_ids)[c]`` uniforms, in trial
     order within the candidate, and an outcome is the number of cumulative
@@ -386,8 +386,7 @@ def _grouped_outcomes(cand_ids: np.ndarray, weights: np.ndarray, rng: np.random.
     time; no temporary grows with the trial count. The weights are
     nonnegative, so the thresholds never decrease along a row, a trial's
     outcome exceeds j exactly when its uniform reaches threshold j, and the
-    counts come from one tally per column. Kept outcomes are put back in
-    trial order.
+    counts come from one tally per column.
     """
     n_trials, n_labels = len(cand_ids), len(weights[0])
     per_cand = np.bincount(cand_ids, minlength=len(weights))
@@ -395,7 +394,6 @@ def _grouped_outcomes(cand_ids: np.ndarray, weights: np.ndarray, rng: np.random.
     begins = ends - per_cand
     thresholds = np.cumsum(weights, axis=1)[:, :-1]
     above = [0] * (n_labels - 1)
-    grouped = np.zeros(n_trials, dtype=np.int64) if keep else None
     for start in range(0, n_trials, _CHUNK):
         stop = min(start + _CHUNK, n_trials)
         u = rng.random(stop - start)
@@ -403,18 +401,8 @@ def _grouped_outcomes(cand_ids: np.ndarray, weights: np.ndarray, rng: np.random.
         lo, hi = np.searchsorted(ends, (start, stop - 1), side="right")
         span = np.minimum(ends[lo:hi + 1], stop) - np.maximum(begins[lo:hi + 1], start)
         for j, column in enumerate(thresholds[lo:hi + 1].T):
-            hit = np.repeat(column, span) <= u
-            above[j] += int(np.count_nonzero(hit))
-            if keep:
-                grouped[start:stop] += hit
-    counts = -np.diff([n_trials, *above, 0])
-    if not keep:
-        return counts, None
-    # a stable sort on a narrow key is a radix sort
-    order = np.argsort(cand_ids.astype(np.min_scalar_type(len(weights) - 1)), kind="stable")
-    outcomes = np.empty_like(grouped)
-    outcomes[order] = grouped
-    return counts, outcomes
+            above[j] += int(np.count_nonzero(np.repeat(column, span) <= u))
+    return -np.diff([n_trials, *above, 0])
 
 
 @dataclass
@@ -430,7 +418,6 @@ class TrialReport:
     tv_distance: float
     z_scores: tuple
     config: dict
-    samples: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if sum(self.counts) != self.n_trials:
@@ -463,7 +450,7 @@ class TrialReport:
         return json.dumps(self.to_json(), sort_keys=True, indent=1)
 
 
-def _finish_report(kind, n_trials, labels, counts, born, config, samples):
+def _finish_report(kind, n_trials, labels, counts, born, config):
     emp = counts / n_trials
     tv = 0.5 * float(np.abs(emp - born).sum())
     z = np.zeros(len(labels))
@@ -483,12 +470,10 @@ def _finish_report(kind, n_trials, labels, counts, born, config, samples):
         tv_distance=tv,
         z_scores=tuple(float(x) for x in z),
         config=config,
-        samples=samples,
     )
 
 
-def run_trials(request: MeasurementRequest, n_trials: int, context: SimulationContext,
-               keep_samples: bool = False) -> TrialReport:
+def run_trials(request: MeasurementRequest, n_trials: int, context: SimulationContext) -> TrialReport:
     """Run repeated trials and compare empirical frequencies to Born.
 
     By default the apparatus is realized afresh on every trial; with
@@ -496,9 +481,7 @@ def run_trials(request: MeasurementRequest, n_trials: int, context: SimulationCo
     reference distribution averages the Born weights of the candidates
     the apparatus actually draws from. The weights of all candidates come
     from one batched pass, no block is built, and the outcome counts from
-    seeded uniforms handed out by candidate (``_grouped_outcomes``); the
-    outcomes of single trials are formed only when ``keep_samples``
-    returns them.
+    seeded uniforms handed out by candidate (``_grouped_outcomes``).
     """
     if n_trials < 1:
         raise ValidationError("need at least one trial")
@@ -528,7 +511,7 @@ def run_trials(request: MeasurementRequest, n_trials: int, context: SimulationCo
         cand_ids = rng_app.integers(0, len(cands), size=n_trials)
         born = np.mean(weights, axis=0)
 
-    counts, outcomes = _grouped_outcomes(cand_ids, weights, rng_sys, keep=keep_samples)
+    counts = _grouped_outcomes(cand_ids, weights, rng_sys)
     config = {
         "kind": request.kind,
         "precision": request.precision,
@@ -539,8 +522,7 @@ def run_trials(request: MeasurementRequest, n_trials: int, context: SimulationCo
         "realized_ids": realized_ids,
         "realized_distances": realized_distances,
     }
-    return _finish_report(request.kind, n_trials, labels, counts, born, config,
-                          (cand_ids, outcomes) if keep_samples else None)
+    return _finish_report(request.kind, n_trials, labels, counts, born, config)
 
 
 def simulate_trial(request: MeasurementRequest, context: SimulationContext,

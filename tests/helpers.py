@@ -173,14 +173,14 @@ def reference_rationalize_po(target, delta):
     one grid rounding per operator, arithmetic on ``RationalOperator``s.
     """
     from nchv.errors import PrecisionError, ValidationError
-    from nchv.opcore import as_operator, dagger, is_hermitian, operator_norm
+    from nchv.opcore import as_operator, dagger, operator_norm
     from nchv.povmfamily import RationalOperator, is_admissible
 
     mat = as_operator(target)
     n = mat.shape[0]
     if delta <= 0:
         raise ValidationError("delta must be positive")
-    if not is_hermitian(mat, tol=1e-9):
+    if not np.max(np.abs(mat - dagger(mat))) <= 1e-9:
         raise ValidationError("target must be Hermitian within 1e-9")
     re, im = _reference_grid_scaled(mat, 32)
     w, v = np.linalg.eigh((mat + dagger(mat)) / 2)
@@ -233,11 +233,11 @@ def reference_snap(mats, eps):
 
     mats = [as_operator(m) for m in mats]
     k, n = len(mats), len(mats[0])
-    bound = Fraction(eps).limit_denominator(10**6) * Fraction(3, 4)
-    while not (0 < bound and float(bound) < eps):
+    bound = (Fraction(eps).limit_denominator(10**6) or Fraction(eps)) * Fraction(3, 4)
+    while bound and not float(bound) < eps:
         bound /= 2
-        if bound < Fraction(1, 10**18):
-            raise PrecisionError("eps too small to bracket with a rational bound")
+    if bound < Fraction(1, 10**18):
+        raise PrecisionError("eps too small to bracket with a rational bound")
     delta = min(bound / (2 + 2 * k), Fraction(1, 4 * k))
     reach = k * delta
     shrink = 1 - Fraction(1, 2 ** ((reach.denominator // reach.numerator).bit_length() - 1))

@@ -130,11 +130,12 @@ class TestRepair:
         # |[P,Q]| <= 1/2 for projections, so a floor of 1 can never clear
         monkeypatch.setattr(basisfamily, "ATTEMPTS_PER_RADIUS", 4)
         monkeypatch.setattr(basisfamily, "RADIUS_LEVELS", 3)
+        monkeypatch.setattr(basisfamily, "DEFAULT_FLOOR", 1.0)
         rng = np.random.default_rng(6)
         basis = haar_basis(2, rng)
         first = haar_basis(2, rng)
         with pytest.raises(RepairExhaustedError, match="after 12 attempts"):
-            repair_member(basis, first.mat[None], budget=0.5, floor=1.0, rng=rng)
+            repair_member(basis, first.mat[None], budget=0.5, rng=rng)
 
 
 class TestGenerateFamily:
@@ -147,9 +148,7 @@ class TestGenerateFamily:
         fam = generate_family(2, 8, seed=5)
         for i in range(8):
             for j in range(i + 1, 8):
-                assert totally_incompatible(
-                    fam.members[i].basis, fam.members[j].basis, fam.floor
-                )
+                assert totally_incompatible(fam.members[i].basis, fam.members[j].basis)
 
     def test_member_indices_start_at_one(self):
         fam = generate_family(3, 4, seed=2)
@@ -166,6 +165,19 @@ class TestGenerateFamily:
         assert len(fam) == 1100
         for m in fam.members:
             assert m.provenance.distance_moved <= min(fam.net_bound, 2.0 ** -m.index)
+
+    def test_budget_and_floor_are_read_at_call_time(self, monkeypatch):
+        # a floor of 0.2 makes member 2 of this seed need repair, within 0.125 < 2**-2
+        monkeypatch.setattr(basisfamily, "DEFAULT_NET_BOUND", 0.125)
+        monkeypatch.setattr(basisfamily, "DEFAULT_FLOOR", 0.2)
+        fam = generate_family(2, 4, seed=4)
+        assert (fam.net_bound, fam.floor) == (0.125, 0.2)
+        bases = [m.basis for m in fam.members]
+        assert min(min_cross_commutator_norm(a, b)
+                   for i, a in enumerate(bases) for b in bases[i + 1:]) > 0.2
+        assert fam.members[1].provenance.replacements > 0
+        for m in fam.members:
+            assert m.provenance.distance_moved <= min(0.125, 2.0 ** -m.index)
 
     def test_dimension_one_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 """Command line behavior: happy paths, report formats, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import nchv
 from helpers import random_resolution, saved_layout_registry
 from nchv.basisfamily import BasisFamily, min_cross_commutator_norm
-from nchv.cli import main
+from nchv.cli import build_parser, main
 from nchv.opcore import OrthonormalBasis, basis_to_json, operator_to_json
 
 FIXTURE = "src/nchv/fixtures/ks18_dim4.json"
@@ -157,6 +158,13 @@ class TestSnap:
                        "--eps", 1e-30, "--out", workdir / "x.json")
         assert code == 3
 
+    def test_snaps_below_five_times_ten_to_the_minus_seven(self, workdir, capsys):
+        code = run_cli("povm", "snap", "--targets", workdir / "targets.json",
+                       "--eps", 1e-7, "--out", workdir / "fine.json")
+        assert code == 0
+        shift = float(capsys.readouterr().out.rsplit("max shift ", 1)[1].rstrip(")\n"))
+        assert 0 < shift < 1e-7
+
 
 class TestKscheck:
     def test_uncolorable_fixture(self, capsys):
@@ -203,6 +211,14 @@ def mixed_dimension_family():
     return family
 
 
+def valid_family(**member):
+    """A one-member n = 2 family of the standard basis, with ``member`` fields replaced."""
+    family = nearly_orthonormal_family()
+    entry = dict(family["members"][0], basis=basis_to_json(OrthonormalBasis(np.eye(2))))
+    family["members"] = [dict(entry, **member)]
+    return family
+
+
 def operator_fixture(entry):
     return json.dumps({"dim": 2, "operators": [entry]})
 
@@ -211,6 +227,23 @@ BAD_RE = {"dim": 2, "re": [1, 0, 0, "x"], "im": [0, 0, 0, 0]}
 SCALAR_RE = {"dim": 2, "re": 7, "im": [0, 0, 0, 0]}
 SIMULATE_PVM_AT = ("simulate", "pvm", "--family", "{dir}/bad.json", "--state", "{dir}/state.json",
                    "--target", "{dir}/target.json", "--eps", 0.5, "--trials", 10)
+SIMULATE_POVM_NEW = ("simulate", "povm", "--registry", "{dir}/registry.json",
+                     "--state", "{dir}/state.json", "--targets", "{dir}/targets.json",
+                     "--eps", 0.5, "--trials", 10)
+SNAP_AT = ("povm", "snap", "--targets", "{dir}/targets.json", "--eps", 0.01, "--out", "{dir}/x.json")
+FAMILY_GEN_AT = ("family", "gen", "--n", 2, "--count", 2, "--seed", 1, "--out", "{dir}/f.json")
+
+
+def at_eps(argv, eps):
+    """``argv`` with the value of its ``--eps`` replaced."""
+    at = argv.index("--eps") + 1
+    return argv[:at] + (eps,) + argv[at + 1:]
+
+
+def without(argv, flag):
+    """``argv`` without ``flag`` and its value."""
+    at = argv.index(flag)
+    return argv[:at] + argv[at + 2:]
 
 
 @pytest.mark.parametrize("argv, payload", [
@@ -247,13 +280,28 @@ SIMULATE_PVM_AT = ("simulate", "pvm", "--family", "{dir}/bad.json", "--state", "
      json.dumps({"members": [BAD_RE]})),
     (("simulate", "pvm", "--family", "{dir}/missing.json", "--state", "{dir}/bad.json",
       "--target", "{dir}/target.json", "--eps", 0.5, "--trials", 10), json.dumps(BAD_RE)),
+    (at_eps(SIMULATE_PVM_AT, "nan"), json.dumps(valid_family())),
+    (at_eps(SIMULATE_PVM_AT, "inf"), json.dumps(valid_family())),
+    (at_eps(SIMULATE_POVM_NEW, "nan"), None),
+    (at_eps(SIMULATE_POVM_NEW, "inf"), None),
+    (at_eps(SNAP_AT, "nan"), None),
+    (at_eps(SNAP_AT, "inf"), None),
+    (("kscheck", "--fixture", FIXTURE, "--limit", 0), None),
+    (FAMILY_GEN_AT + ("--net-bound", 1), None),
+    (at_eps(SIMULATE_PVM_AT, "x"), json.dumps(valid_family())),
+    (without(SIMULATE_POVM_NEW, "--targets"), None),
+    (without(SNAP_AT, "--out"), None),
+    (("kscheck",), None),
 ], ids=["malformed-json", "missing-file", "targets-without-members", "missing-family",
         "malformed-registry", "repeated-registry-index", "colliding-registry-members",
         "resolution-index-past-end",
         "resolution-index-not-integer", "resolution-index-negative", "vector-entry-not-a-number",
         "vector-entry-short-pair", "vectors-not-a-list", "basis-orthonormal-only-entrywise",
         "family-mixed-dimensions", "operator-entry-not-a-number", "operator-entries-not-a-list",
-        "operators-not-a-list", "target-entry-not-a-number", "state-entry-not-a-number"])
+        "operators-not-a-list", "target-entry-not-a-number", "state-entry-not-a-number",
+        "pvm-eps-nan", "pvm-eps-inf", "povm-eps-nan", "povm-eps-inf", "snap-eps-nan",
+        "snap-eps-inf", "kscheck-limit-zero", "gen-unknown-flag", "pvm-eps-not-a-number",
+        "povm-missing-flag", "snap-missing-flag", "kscheck-missing-flag"])
 def test_unreadable_input_exits_four(tmp_path, capsys, argv, payload):
     if payload is not None:
         (tmp_path / "bad.json").write_text(payload)
@@ -265,14 +313,6 @@ def test_unreadable_input_exits_four(tmp_path, capsys, argv, payload):
     code = run_cli(*(str(a).format(dir=tmp_path) for a in argv))
     assert code == 4
     assert "error:" in capsys.readouterr().err
-
-
-def valid_family(**member):
-    """A one-member n = 2 family of the standard basis, with ``member`` fields replaced."""
-    family = nearly_orthonormal_family()
-    entry = dict(family["members"][0], basis=basis_to_json(OrthonormalBasis(np.eye(2))))
-    family["members"] = [dict(entry, **member)]
-    return family
 
 
 SIMULATE_POVM_AT = ("simulate", "povm", "--registry", "{dir}/bad.json", "--state", "{dir}/state.json",
@@ -316,6 +356,37 @@ def test_infinite_target_entries_exit_four_without_warning(workdir):
     )
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr.startswith("error:"), proc.stderr
+
+
+def _option_strings(parser, path=()):
+    """Each leaf subcommand of ``parser`` mapped to the set of its option strings."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(path): {s for a in parser._actions for s in a.option_strings}}
+    return {leaf: opts for name, sub in subs[0].choices.items()
+            for leaf, opts in _option_strings(sub, path + (name,)).items()}
+
+
+def test_command_line_surface_is_pinned():
+    """A new or removed option shows up here as a deliberate edit."""
+    common = {"-h", "--help"}
+    simulate = common | {"--state", "--eps", "--trials", "--seed-app", "--seed-sys",
+                         "--fixed-apparatus", "--report"}
+    assert _option_strings(build_parser()) == {
+        "family gen": common | {"--n", "--count", "--seed", "--out", "--check"},
+        "simulate pvm": simulate | {"--family", "--target"},
+        "simulate povm": simulate | {"--registry", "--targets"},
+        "povm snap": common | {"--targets", "--eps", "--out"},
+        "kscheck": common | {"--fixture", "--limit"},
+    }
+
+
+def test_help_exits_zero(capsys):
+    for argv in ([], ["family", "gen"], ["simulate", "pvm"], ["povm", "snap"], ["kscheck"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: nchv")
 
 
 def test_module_entry_point_runs():

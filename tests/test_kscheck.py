@@ -395,6 +395,16 @@ class TestFindTruthFunctions:
         assert len(res.solutions) == 5
         assert not res.exhausted
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_rejected(self, family10, limit):
+        with pytest.raises(ValidationError, match="limit must be at least 1"):
+            find_truth_functions(problem_from_family(family10, count=2), limit=limit)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, family10, count):
+        with pytest.raises(ValidationError, match="count must be at least 1"):
+            problem_from_family(family10, count=count)
+
     def test_node_budget_enforced(self, family10, monkeypatch):
         monkeypatch.setattr(kscheck, "DEFAULT_SEARCH_BUDGET", 1)
         prob = problem_from_family(family10, count=3)

@@ -59,6 +59,11 @@ class TestPartialBooleanAlgebra:
         pba = PartialBooleanAlgebra.from_family(family10, count=4)
         assert len(pba.blocks) == 4
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_from_family_rejects_a_count_below_one(self, family10, count):
+        with pytest.raises(ValidationError, match="count must be at least 1"):
+            PartialBooleanAlgebra.from_family(family10, count=count)
+
     def test_nontrivial_element_count(self, pba10):
         assert sum(1 for _ in pba10.nontrivial_elements()) == 10 * 6
 

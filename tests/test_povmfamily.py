@@ -36,8 +36,8 @@ from nchv.povmfamily import (
     ResolutionRegistry,
     _povm_weights,
     _rationalize,
+    _norm_at_most,
     _snap,
-    hermitian_norm_at_most,
     is_admissible,
     phase_tag,
     rationalize_po,
@@ -55,21 +55,21 @@ def rational(rows):
 class TestRationalOperator:
     def test_dyadic_floats_convert_exactly(self):
         m = rational([[0.5, 0.25], [0.25, 0.75]])
-        assert m.entry(0, 0) == (F(1, 2), F(0))
-        assert m.entry(1, 0) == (F(1, 4), F(0))
+        assert m.rows[0][0] == (F(1, 2), F(0))
+        assert m.rows[1][0] == (F(1, 4), F(0))
         assert np.array_equal(m.to_complex(), np.array([[0.5, 0.25], [0.25, 0.75]]))
 
     def test_arithmetic(self):
         a = rational([[1, 2], [3, 4]])
         b = rational([[5, 6], [7, 8]])
-        assert (a + b).entry(0, 1) == (F(8), F(0))
-        assert (a - b).entry(1, 1) == (F(-4), F(0))
-        assert (a @ b).entry(0, 0) == (F(19), F(0))
-        assert a.scale(F(1, 3)).entry(1, 0) == (F(1), F(0))
+        assert (a + b).rows[0][1] == (F(8), F(0))
+        assert (a - b).rows[1][1] == (F(-4), F(0))
+        assert (a @ b).rows[0][0] == (F(19), F(0))
+        assert a.scale(F(1, 3)).rows[1][0] == (F(1), F(0))
 
     def test_dagger_conjugates(self):
         m = RationalOperator.from_float(np.array([[0, 1j], [0, 0]]))
-        assert m.dagger().entry(1, 0) == (F(0), F(-1))
+        assert m.dagger().rows[1][0] == (F(0), F(-1))
 
     def test_hermitian_detection_is_exact(self):
         assert rational([[1, 0.5], [0.5, 2]]).is_hermitian()
@@ -79,7 +79,7 @@ class TestRationalOperator:
         a = rational([[1, 0], [0, 1]])
         assert a == RationalOperator.identity(2)
         assert hash(a) == hash(RationalOperator.identity(2))
-        assert a != RationalOperator.zeros(2)
+        assert a != RationalOperator([[0, 0], [0, 0]], [[0, 0], [0, 0]])
 
     def test_psd_certificates(self):
         assert rational([[2, 1], [1, 2]]).is_positive_semidefinite()
@@ -124,8 +124,8 @@ class TestRationalOperator:
     def test_norm_bound_is_exact(self):
         m = rational([[0.5, 0], [0, -1.0 / 3.0]])
         # |M| = 1/2 exactly; 1/2 <= 1/2 passes, 1/2 <= 2/5 does not
-        assert hermitian_norm_at_most(m, F(1, 2))
-        assert not hermitian_norm_at_most(m, F(2, 5))
+        assert _norm_at_most(m.re, m.im, m.den, F(1, 2))
+        assert not _norm_at_most(m.re, m.im, m.den, F(2, 5))
 
     def test_admissibility(self):
         assert is_admissible(rational([[0.5, 0.25], [0.25, 0.5]]))
@@ -141,7 +141,7 @@ class TestRationalOperator:
         m = RationalOperator.from_float(x)
         for a in range(2):
             for b in range(2):
-                re, im = m.entry(a, b)
+                re, im = m.rows[a][b]
                 assert re.denominator <= cap and im.denominator <= cap
         assert operator_norm(m.to_complex() - x) < 4 / cap
 
@@ -202,7 +202,7 @@ class TestExactRepresentation:
         obj = saved_layout_registry()
         member = obj["entries"][0]["base"]["members"][0]
         op = RationalOperator.from_json(member)
-        assert op.den == 105 and op.entry(0, 1) == (F(1, 7), F(1, 5))
+        assert op.den == 105 and op.rows[0][1] == (F(1, 7), F(1, 5))
         assert op.to_json() == member
         path = tmp_path / "registry.json"
         path.write_text(json.dumps(obj, sort_keys=True, indent=1))
@@ -360,6 +360,18 @@ class TestRationalizePo:
         with pytest.raises(PrecisionError):
             rationalize_po(np.diag([0.5, 0.5]), delta=1e-12)
 
+    @pytest.mark.parametrize("delta", [1e-310, 5e-324])
+    def test_subnormal_delta(self, delta):
+        with pytest.raises(PrecisionError, match="resolution of the denominator cap"):
+            rationalize_po(np.diag([0.5, 0.5]), delta)
+        target = np.array([[0.75, 0.125], [0.125, 0.25]])
+        assert np.array_equal(rationalize_po(target, delta).to_complex(), target)
+
+    @pytest.mark.parametrize("delta", [0.0, -1e-3, np.nan, np.inf])
+    def test_delta_must_be_finite_and_positive(self, delta):
+        with pytest.raises(ValidationError, match="finite positive"):
+            rationalize_po(np.diag([0.5, 0.5]), delta)
+
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_random_positive_operators(self, seed):
@@ -403,8 +415,9 @@ class TestSnapResolution:
 
     def test_rejects_nonpositive_eps(self):
         targets = [np.eye(2) / 2, np.eye(2) / 2]
-        with pytest.raises(ValidationError):
-            snap_resolution(targets, 0.0)
+        for eps in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="finite positive"):
+                snap_resolution(targets, eps)
 
     @given(
         seed=st.integers(0, 10**5),
@@ -433,8 +446,9 @@ def _outcome(fn, *args):
 class TestStackedSnap:
     """The stacked float pass and the integer grid against the member-by-member recipe."""
 
-    # below 5e-7 the rational bound rounds to zero, so 1e-7 raises on both sides
-    PARITY_EPS = (0.3, 0.1, 3e-2, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 6e-7, 1e-7)
+    # below 5e-7 the rational bound is 3/4 eps itself; from about 2e-8 down delta falls
+    # below the denominator cap's resolution, so 1e-8 raises on both sides
+    PARITY_EPS = (0.3, 0.1, 3e-2, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 6e-7, 4.9e-7, 1e-7, 3e-8, 1e-8)
 
     def test_matches_the_reference_on_the_parity_grid(self):
         outcomes = []
@@ -446,7 +460,7 @@ class TestStackedSnap:
                         got = _outcome(snap_resolution, targets, eps, True)
                         assert got == _outcome(reference_snap, targets, eps), (seed, n, k, eps)
                         outcomes.append(got)
-        assert len(outcomes) == 400 and outcomes.count(PrecisionError) == 40
+        assert len(outcomes) == 520 and outcomes.count(PrecisionError) == 40
 
     @pytest.mark.parametrize("eps", [0.3, 0.05, 1e-4])
     def test_mixed_stack_with_a_member_already_on_the_grid(self, eps):
@@ -482,9 +496,8 @@ class TestStackedSnap:
             warnings.simplefilter("error")
             assert _outcome(rationalize_po, target, delta) == want
 
-    # a delta below the cap is out of a snap's reach (the rationalize_po cases above take it):
-    # from eps 5e-7 on delta >= 3e-8, and every smaller eps fails to bracket first
-    @pytest.mark.parametrize("eps", [1e-19, 1e-9, 4.9e-7])
+    # 1e-9 reaches a delta below the cap; below 1e-18, subnormal eps included, eps fails to bracket
+    @pytest.mark.parametrize("eps", [1e-19, 1e-9, 1e-323])
     def test_eps_too_small_to_bracket_matches_the_reference(self, eps):
         targets = random_resolution(3, 3, np.random.default_rng(8))
         want = _outcome(reference_snap, targets, eps)

@@ -44,8 +44,12 @@ class TestRequestValidation:
             MeasurementRequest("qnd", None, None, 0.1, 0, 1)
 
     def test_nonpositive_precision(self):
-        with pytest.raises(ValidationError):
-            MeasurementRequest.pvm(np.diag([1.0, 2.0]), 0.0)
+        halves = [np.eye(2) / 2, np.eye(2) / 2]
+        for precision in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="finite positive"):
+                MeasurementRequest.pvm(np.diag([1.0, 2.0]), precision)
+            with pytest.raises(ValidationError, match="finite positive"):
+                MeasurementRequest.povm(halves, precision)
 
     def test_povm_targets_must_resolve(self):
         with pytest.raises(ValidationError):
@@ -264,7 +268,7 @@ class TestLazyBlocks:
     def test_run_trials_builds_no_block(self, family10, built):
         h = observable_on_member(family10, 0, [1.0, 2.0, 3.0])
         ctx = SimulationContext(np.eye(3) / 3, family=family10)
-        run_trials(MeasurementRequest.pvm(h, 1.999), 500, ctx, keep_samples=True)
+        run_trials(MeasurementRequest.pvm(h, 1.999), 500, ctx)
         assert built == []
 
     def test_audit_builds_each_drawn_candidate_once(self, family10, built):
@@ -296,12 +300,8 @@ class TestGroupedOutcomes:
     @staticmethod
     def check_against_reference(cand_ids, weights, seed):
         want = reference_grouped_outcomes(cand_ids, weights, np.random.default_rng(seed))
-        counts, kept = simulator._grouped_outcomes(cand_ids, weights,
-                                                   np.random.default_rng(seed), keep=True)
-        assert kept.dtype == want.dtype and np.array_equal(kept, want)
+        counts = simulator._grouped_outcomes(cand_ids, weights, np.random.default_rng(seed))
         assert np.array_equal(counts, np.bincount(want, minlength=weights.shape[1]))
-        alone, none = simulator._grouped_outcomes(cand_ids, weights, np.random.default_rng(seed))
-        assert none is None and np.array_equal(alone, counts)
 
     @pytest.mark.parametrize("fixed", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 100])
@@ -322,15 +322,19 @@ class TestGroupedOutcomes:
         req = MeasurementRequest.pvm(h, 1.999, apparatus_seed=3, system_seed=4)
         ctx = SimulationContext(random_density(3, np.random.default_rng(5)), family=family10,
                                 fixed_apparatus=fixed)
-        rep = run_trials(req, 3000, ctx, keep_samples=True)
-        cand_ids, outcomes = rep.samples
+        rep = run_trials(req, 3000, ctx)
         cands, _ = pvm_candidates(req.observable, family10, 1.999)
         weights = [born_weights(ctx.density, c.block)[list(c.target_to_atom)] for c in cands]
+        if fixed:
+            # the reference distribution is the weights of the one candidate every trial uses
+            rows = [tuple(w.tolist()) for w in weights]
+            assert rows.count(rep.born) == 1
+            cand_ids = np.full(3000, rows.index(rep.born))
+        else:
+            cand_ids = np.random.default_rng(3).integers(0, len(cands), size=3000)
+            assert rep.born == tuple(float(x) for x in np.mean(weights, axis=0))
         want = reference_grouped_outcomes(cand_ids, weights, np.random.default_rng(4))
-        assert np.array_equal(outcomes, want)
-        born = weights[cand_ids[0]] if fixed else np.mean(weights, axis=0)
-        assert rep.born == tuple(float(x) for x in born)
-        assert run_trials(req, 3000, ctx).counts == rep.counts
+        assert rep.counts == tuple(np.bincount(want, minlength=3).tolist())
 
 
 class TestRunTrialsPvm:
@@ -352,21 +356,29 @@ class TestRunTrialsPvm:
         assert rep.tv_distance < 0.01
         assert max(abs(z) for z in rep.z_scores) < 4.0
 
+    @staticmethod
+    def _candidate_weights(family, req, density):
+        cands, _ = pvm_candidates(req.observable, family, req.precision)
+        return [tuple(born_weights(density, c.block)[list(c.target_to_atom)].tolist())
+                for c in cands]
+
     def test_fixed_apparatus_uses_one_candidate(self, family10):
         h = observable_on_member(family10, 0, [1.0, 2.0, 3.0])
         req = MeasurementRequest.pvm(h, 1.999, apparatus_seed=3, system_seed=4)
-        ctx = SimulationContext(np.eye(3) / 3, family=family10, fixed_apparatus=True)
-        rep = run_trials(req, 500, ctx, keep_samples=True)
-        cand_ids, _ = rep.samples
-        assert len(set(cand_ids.tolist())) == 1
+        ctx = SimulationContext(random_density(3, np.random.default_rng(5)), family=family10,
+                                fixed_apparatus=True)
+        rep = run_trials(req, 500, ctx)
+        weights = self._candidate_weights(family10, req, ctx.density)
+        assert len(set(weights)) == 10 and weights.count(rep.born) == 1
 
     def test_fresh_apparatus_spreads_over_candidates(self, family10):
         h = observable_on_member(family10, 0, [1.0, 2.0, 3.0])
         req = MeasurementRequest.pvm(h, 1.999, apparatus_seed=3, system_seed=4)
-        ctx = SimulationContext(np.eye(3) / 3, family=family10)
-        rep = run_trials(req, 500, ctx, keep_samples=True)
-        cand_ids, _ = rep.samples
-        assert len(set(cand_ids.tolist())) == 10
+        ctx = SimulationContext(random_density(3, np.random.default_rng(5)), family=family10)
+        rep = run_trials(req, 500, ctx)
+        weights = self._candidate_weights(family10, req, ctx.density)
+        assert len(set(weights)) == 10 and rep.born not in weights
+        assert rep.born == tuple(float(x) for x in np.mean(weights, axis=0))
 
     def test_report_serialization(self, family10):
         h = observable_on_member(family10, 1, [1.0, 2.0, 3.0])
@@ -444,8 +456,13 @@ class TestRunTrialsPovm:
         used, drawn = [], []
         for seed in range(20):
             req = MeasurementRequest.povm(req.povm_targets, 0.5, apparatus_seed=seed)
-            report = run_trials(req, 10, ctx, keep_samples=True)
-            used.append(report.config["realized_ids"][report.samples[0][0]])
+            report = run_trials(req, 10, ctx)
+            # the fixed candidate is the one whose weights are the reference distribution
+            cands = ctx.registry.candidates_within(req.povm_targets, 0.5)
+            rows = [tuple(w.tolist()) for w in povmfamily._povm_weights(ctx.density,
+                                                                        [c.members for c in cands])]
+            assert len(set(rows)) == 3
+            used.append(cands[rows.index(report.born)].index)
             drawn.append(realize_povm(req, ctx.registry, np.random.default_rng(seed)).index)
         assert len(set(drawn)) == 3
         assert used == drawn
