@@ -58,10 +58,8 @@ from .opcore import (
 from .pba import (
     FullnessReport,
     PartialBooleanAlgebra,
-    ProjectionBlock,
     TruthValuation,
     born_weights,
-    build_block,
     verify_block_assignment,
     verify_fullness,
     verify_homomorphism,

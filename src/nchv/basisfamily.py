@@ -64,9 +64,15 @@ class Provenance:
 
 @dataclass(frozen=True)
 class FamilyMember:
+    """One basis of a family, and the block of its subset projections, keyed by atom bitmask."""
+
     index: int
     basis: OrthonormalBasis
     provenance: Provenance
+
+    @property
+    def n(self) -> int:
+        return self.basis.dim
 
 
 @dataclass(frozen=True)
@@ -230,6 +236,8 @@ def generate_family(n: int, count: int, seed: int) -> BasisFamily:
         raise ValidationError("dimension must be at least 2")
     if count < 1:
         raise ValidationError("count must be at least 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     stack = np.empty((count, n, n), dtype=complex)
     members: list[FamilyMember] = []

@@ -23,7 +23,7 @@ from pathlib import Path
 from .basisfamily import BasisFamily, generate_family
 from .errors import NCHVError, NoCandidateError, PrecisionError, ValidationError
 from .kscheck import find_truth_functions, load_fixture
-from .opcore import JsonNode, operator_from_json, read_json
+from .opcore import JsonNode, operator_from_json, read_json, write_text_atomic
 from .povmfamily import ResolutionRegistry, snap_resolution
 from .simulator import MeasurementRequest, SimulationContext, run_trials
 
@@ -111,9 +111,9 @@ def _emit_report(report, spec: str | None):
     elif spec == "csv":
         print(report.to_csv(), end="")
     elif spec.endswith(".json"):
-        Path(spec).write_text(report.to_json_str() + "\n")
+        write_text_atomic(report.to_json_str() + "\n", spec)
     elif spec.endswith(".csv"):
-        Path(spec).write_text(report.to_csv())
+        write_text_atomic(report.to_csv(), spec)
     else:
         raise ValidationError(f"cannot infer a report format from {spec!r}")
 
@@ -164,7 +164,7 @@ def _cmd_simulate(args, kind: str) -> int:
 def _cmd_snap(args) -> int:
     targets = _load_targets(args.targets)
     resolution, diag = snap_resolution(targets, args.eps, return_diagnostics=True)
-    Path(args.out).write_text(json.dumps(resolution.to_json(), sort_keys=True) + "\n")
+    write_text_atomic(json.dumps(resolution.to_json(), sort_keys=True) + "\n", args.out)
     print(f"snapped {resolution.k} members in dimension {resolution.dim} "
           f"to {args.out} (max shift {diag.max_member_shift:.3e})")
     return 0

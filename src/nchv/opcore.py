@@ -66,6 +66,7 @@ __all__ = [
     "basis_from_json",
     "read_json",
     "write_json",
+    "write_text_atomic",
     "JsonNode",
 ]
 
@@ -529,14 +530,18 @@ class JsonNode:
 
 
 def write_json(obj, path) -> None:
-    """Write ``obj`` as JSON (sorted keys, indent 1) to ``path`` atomically.
+    """Write ``obj`` as JSON (sorted keys, indent 1) to ``path`` atomically."""
+    write_text_atomic(json.dumps(obj, sort_keys=True, indent=1), path)
+
+
+def write_text_atomic(text: str, path) -> None:
+    """Write ``text`` to ``path`` atomically.
 
     The text goes to a fresh file in the same directory, which then replaces
     ``path`` in one rename: a failed write leaves the old file untouched and
     removes its own partial file.
     """
     path = Path(path)
-    text = json.dumps(obj, sort_keys=True, indent=1)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
         tmp.write_text(text)

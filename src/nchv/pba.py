@@ -1,7 +1,10 @@
 """Boolean blocks of subset projections and lazily sampled truth valuations.
 
-Each basis spans a block containing the 2**n projections onto subsets of
-its vectors, keyed by bitmask. Distinct blocks of a totally incompatible
+A block is a ``FamilyMember``: its basis spans the 2**n projections onto
+subsets of its vectors, keyed by atom bitmask, and
+``opcore.subset_projection(member.basis, mask)`` computes any of them on
+demand. The atoms sum to the identity because ``OrthonormalBasis`` checked
+the basis when it was made. Distinct blocks of a totally incompatible
 family share only the zero and identity operators, so a global valuation
 factorizes: pick one atom per block, independently, with Born weights.
 The verification helpers here deliberately recheck what the construction
@@ -25,13 +28,10 @@ from .opcore import (
     min_commutator_norm,
     nontrivial_masks,
     normalized_weights,
-    subset_projection,
 )
 
 __all__ = [
-    "ProjectionBlock",
     "PartialBooleanAlgebra",
-    "build_block",
     "born_weights",
     "sample_block_valuations",
     "TruthValuation",
@@ -42,38 +42,6 @@ __all__ = [
     "verify_fullness",
     "block_structure_extremes",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectionBlock:
-    """The block of one basis; its subset projections are keyed by atom bitmask.
-
-    The atoms sum to the identity because ``OrthonormalBasis`` checked the
-    basis when it was made.
-    """
-
-    member: FamilyMember
-
-    @property
-    def index(self) -> int:
-        return self.member.index
-
-    @property
-    def n(self) -> int:
-        return self.member.basis.dim
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
-    def element(self, mask: int) -> np.ndarray:
-        """The projection onto the atoms in ``mask``, computed on each call."""
-        return subset_projection(self.member.basis, mask)
-
-
-def build_block(member: FamilyMember) -> ProjectionBlock:
-    """The block spanned by a family member."""
-    return ProjectionBlock(member)
 
 
 class PartialBooleanAlgebra:
@@ -99,9 +67,9 @@ class PartialBooleanAlgebra:
         if count is not None and count < 1:
             raise ValidationError(f"count must be at least 1, got {count}")
         members = family.members if count is None else family.members[:count]
-        return cls(build_block(m) for m in members)
+        return cls(members)
 
-    def block(self, index: int) -> ProjectionBlock:
+    def block(self, index: int) -> FamilyMember:
         try:
             return self._by_index[index]
         except KeyError:
@@ -114,14 +82,14 @@ class PartialBooleanAlgebra:
                 yield block.index, mask
 
 
-def born_weights(density: np.ndarray, block: ProjectionBlock) -> np.ndarray:
+def born_weights(density: np.ndarray, block: FamilyMember) -> np.ndarray:
     """Born weights of the block's atoms in the given state, normalized.
 
     Noise floor: weights in [-1e-10, 0) are clamped to 0. Anything more
     negative, or a total farther than 1e-9 from 1, means the state and the
     block disagree and raises WeightNormalizationError.
     """
-    return _atom_weights(check_density(density), block.member.basis.mat[None])[0]
+    return _atom_weights(check_density(density), block.basis.mat[None])[0]
 
 
 def _atom_weights(d: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -135,7 +103,7 @@ def _atom_weights(d: np.ndarray, bases: np.ndarray) -> np.ndarray:
     return normalized_weights(np.einsum("mji,jk,mki->mi", bases.conj(), d, bases).real)
 
 
-def sample_block_valuations(density, block: ProjectionBlock, rng: np.random.Generator, size: int) -> np.ndarray:
+def sample_block_valuations(density, block: FamilyMember, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` independent chosen atoms from the block's Born weights."""
     return draw_indices(born_weights(density, block), rng, size)
 
@@ -154,22 +122,22 @@ class TruthValuation:
         self.rng = rng
         self.chosen: dict[int, int] = {}
 
-    def populate(self, block: ProjectionBlock) -> int:
+    def populate(self, block: FamilyMember) -> int:
         atom = self.chosen.get(block.index)
         if atom is None:
             # the constructor validated the density, so no block rechecks it
-            w = _atom_weights(self.density, block.member.basis.mat[None])[0]
+            w = _atom_weights(self.density, block.basis.mat[None])[0]
             atom = int(draw_indices(w, self.rng, 1)[0])
             self.chosen[block.index] = atom
         return atom
 
-    def evaluate(self, block: ProjectionBlock, mask: int) -> int:
-        if not 0 <= mask <= block.full_mask:
+    def evaluate(self, block: FamilyMember, mask: int) -> int:
+        if not 0 <= mask < 1 << block.n:
             raise ValidationError(f"mask {mask} out of range for block {block.index}")
         atom = self.populate(block)
         return (mask >> atom) & 1
 
-    def block_assignment(self, block: ProjectionBlock) -> list[int]:
+    def block_assignment(self, block: FamilyMember) -> list[int]:
         """Materialize the value of every mask of a populated block."""
         if block.index not in self.chosen:
             raise ValidationError(f"block {block.index} is not populated")
@@ -222,7 +190,7 @@ def verify_block_assignment(values, n: int) -> bool:
     return all(v == (m >> a) & 1 for m, v in enumerate(values))
 
 
-def verify_homomorphism(valuation: TruthValuation, block: ProjectionBlock) -> bool:
+def verify_homomorphism(valuation: TruthValuation, block: FamilyMember) -> bool:
     """Recheck the two-valued homomorphism laws, sampling the block if needed."""
     valuation.populate(block)
     return verify_block_assignment(valuation.block_assignment(block), block.n)
@@ -279,7 +247,7 @@ def block_structure_extremes(pba: PartialBooleanAlgebra):
     first should sit at roundoff level and the second clearly above the
     family floor: compatibility happens inside blocks and nowhere else.
     """
-    bases = np.array([b.member.basis.mat for b in pba.blocks])
+    bases = np.array([b.basis.mat for b in pba.blocks])
     max_within = max(float(commutator_norms(a, a[None]).max(initial=0.0)) for a in bases)
     min_cross = min(min_commutator_norm(a, bases[i + 1:]) for i, a in enumerate(bases))
     return max_within, min_cross

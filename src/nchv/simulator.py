@@ -18,7 +18,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,13 +40,7 @@ from .opcore import (
     spectral_norms,
     validate_resolution,
 )
-from .pba import (
-    ProjectionBlock,
-    TruthValuation,
-    _atom_weights,
-    build_block,
-    verify_homomorphism,
-)
+from .pba import TruthValuation, _atom_weights, verify_homomorphism
 from .povmfamily import (
     ResolutionRegistry,
     TaggedResolution,
@@ -68,7 +61,6 @@ __all__ = [
     "joint_probability",
     "run_trials",
     "simulate_trial",
-    "noncontextuality_audit",
     "run_noncontextuality_audit",
 ]
 
@@ -89,6 +81,9 @@ class MeasurementRequest:
             raise ValidationError(f"unknown request kind {self.kind!r}")
         if not 0 < self.precision < np.inf:
             raise ValidationError(f"precision must be a finite positive number, got {self.precision}")
+        if min(self.apparatus_seed, self.system_seed) < 0:
+            raise ValidationError(f"seeds must be nonnegative, got {self.apparatus_seed} "
+                                  f"and {self.system_seed}")
         if self.kind == "pvm":
             if self.observable is None:
                 raise ValidationError("projective request needs an observable")
@@ -121,10 +116,9 @@ class MeasurementOutcome:
 class PvmRealization:
     """A family member standing in for the target, with label plumbing.
 
-    ``target_to_atom[i]`` is the realized atom carrying the i-th target
-    eigenvalue; ``distance`` is the largest spectral gap between matched
-    projections. The member's block is built on first access and kept, so
-    only the candidates a run actually draws pay for one.
+    The member is the realized block. ``target_to_atom[i]`` is the realized
+    atom carrying the i-th target eigenvalue; ``distance`` is the largest
+    spectral gap between matched projections.
     """
 
     member: FamilyMember
@@ -134,10 +128,6 @@ class PvmRealization:
     @property
     def member_index(self) -> int:
         return self.member.index
-
-    @cached_property
-    def block(self) -> ProjectionBlock:
-        return build_block(self.member)
 
 
 @dataclass
@@ -261,8 +251,7 @@ def pvm_candidates(observable: HermitianObservable, family: BasisFamily | None,
     member skipped either way can be neither a candidate nor the nearest
     miss, so the result is that of a full pass. Each matched distance is
     the rank-1 identity |P - vv*| = |v - Pv| (the target is nondegenerate),
-    which unlike sqrt(1 - overlap) stays accurate near 0. The candidates'
-    blocks are built only when drawn (see ``PvmRealization``).
+    which unlike sqrt(1 - overlap) stays accurate near 0.
     """
     if family is None:
         raise ValidationError("projective request needs a family in the context")
@@ -480,8 +469,8 @@ def run_trials(request: MeasurementRequest, n_trials: int, context: SimulationCo
     ``context.fixed_apparatus`` one realization serves the whole run. The
     reference distribution averages the Born weights of the candidates
     the apparatus actually draws from. The weights of all candidates come
-    from one batched pass, no block is built, and the outcome counts from
-    seeded uniforms handed out by candidate (``_grouped_outcomes``).
+    from one batched pass, and the outcome counts from seeded uniforms
+    handed out by candidate (``_grouped_outcomes``).
     """
     if n_trials < 1:
         raise ValidationError("need at least one trial")
@@ -544,19 +533,9 @@ def simulate_trial(request: MeasurementRequest, context: SimulationContext,
     return MeasurementOutcome(idx, tagged.index, dist, trial_id)
 
 
-def noncontextuality_audit(valuation: TruthValuation, block: ProjectionBlock) -> int:
-    """1 when the block's values break a homomorphism law, else 0.
-
-    ``verify_homomorphism`` reads every element of the block and checks the
-    partition, complement and product laws as one point-evaluation check.
-    The chosen atom makes a violation impossible; the audit rechecks anyway.
-    """
-    return int(not verify_homomorphism(valuation, block))
-
-
 def run_noncontextuality_audit(request: MeasurementRequest, context: SimulationContext,
                                n_trials: int) -> int:
-    """Total violations over ``n_trials`` independent realized trials."""
+    """Drawn blocks whose values break a homomorphism law, over ``n_trials`` trials."""
     if request.kind != "pvm":
         raise ValidationError("the audit applies to projective requests")
     rng_app = np.random.default_rng(request.apparatus_seed)
@@ -568,5 +547,6 @@ def run_noncontextuality_audit(request: MeasurementRequest, context: SimulationC
     for _ in range(n_trials):
         cand = cands[int(rng_app.integers(len(cands)))]
         valuation.chosen.clear()
-        violations += noncontextuality_audit(valuation, cand.block)
+        # the chosen atom makes a violation impossible; the audit rechecks anyway
+        violations += not verify_homomorphism(valuation, cand.member)
     return violations

@@ -183,6 +183,10 @@ class TestGenerateFamily:
         with pytest.raises(ValidationError):
             generate_family(1, 3, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be nonnegative, got -1"):
+            generate_family(2, 2, seed=-1)
+
     def test_json_roundtrip(self, tmp_path):
         fam = generate_family(3, 5, seed=8)
         path = tmp_path / "fam.json"

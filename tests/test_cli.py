@@ -12,6 +12,7 @@ import pytest
 
 import nchv
 from helpers import random_resolution, saved_layout_registry
+from nchv import opcore
 from nchv.basisfamily import BasisFamily, min_cross_commutator_norm
 from nchv.cli import build_parser, main
 from nchv.opcore import OrthonormalBasis, basis_to_json, operator_to_json
@@ -166,6 +167,28 @@ class TestSnap:
         assert 0 < shift < 1e-7
 
 
+@pytest.mark.parametrize("name", ["report.json", "report.csv", "snapped.json"])
+def test_interrupted_write_keeps_the_previous_file(workdir, monkeypatch, name):
+    out = workdir / name
+    if name.startswith("report"):
+        argv = ("simulate", "pvm", "--family", workdir / "family.json",
+                "--state", workdir / "state.json", "--target", workdir / "target.json",
+                "--eps", 1e-6, "--trials", 100, "--report", out)
+    else:
+        argv = ("povm", "snap", "--targets", workdir / "targets.json", "--eps", 1e-3, "--out", out)
+    out.write_text("previous")
+    before = sorted(p.name for p in workdir.iterdir())
+
+    def broken(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(opcore.os, "replace", broken)
+    with pytest.raises(OSError, match="disk full"):
+        run_cli(*argv)
+    assert out.read_text() == "previous"
+    assert sorted(p.name for p in workdir.iterdir()) == before
+
+
 class TestKscheck:
     def test_uncolorable_fixture(self, capsys):
         assert run_cli("kscheck", "--fixture", FIXTURE) == 0
@@ -292,6 +315,9 @@ def without(argv, flag):
     (without(SIMULATE_POVM_NEW, "--targets"), None),
     (without(SNAP_AT, "--out"), None),
     (("kscheck",), None),
+    (("family", "gen", "--n", 2, "--count", 2, "--seed", -1, "--out", "{dir}/f.json"), None),
+    (SIMULATE_PVM_AT + ("--seed-app", -1), json.dumps(valid_family())),
+    (SIMULATE_POVM_NEW + ("--seed-sys", -1), None),
 ], ids=["malformed-json", "missing-file", "targets-without-members", "missing-family",
         "malformed-registry", "repeated-registry-index", "colliding-registry-members",
         "resolution-index-past-end",
@@ -301,7 +327,8 @@ def without(argv, flag):
         "operators-not-a-list", "target-entry-not-a-number", "state-entry-not-a-number",
         "pvm-eps-nan", "pvm-eps-inf", "povm-eps-nan", "povm-eps-inf", "snap-eps-nan",
         "snap-eps-inf", "kscheck-limit-zero", "gen-unknown-flag", "pvm-eps-not-a-number",
-        "povm-missing-flag", "snap-missing-flag", "kscheck-missing-flag"])
+        "povm-missing-flag", "snap-missing-flag", "kscheck-missing-flag",
+        "gen-negative-seed", "pvm-negative-apparatus-seed", "povm-negative-system-seed"])
 def test_unreadable_input_exits_four(tmp_path, capsys, argv, payload):
     if payload is not None:
         (tmp_path / "bad.json").write_text(payload)

@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 
 from helpers import random_density, reference_block_assignment
 from nchv.errors import ValidationError, WeightNormalizationError
-from nchv.opcore import OrthonormalBasis, atom_projections, operator_norm
+from nchv.opcore import OrthonormalBasis, atom_projections, operator_norm, subset_projection
 from nchv import pba
 from nchv.povmfamily import _povm_weights
 from nchv.pba import (
     PartialBooleanAlgebra,
-    ProjectionBlock,
     TruthValuation,
     atom_partitions,
     block_structure_extremes,
     born_weights,
-    build_block,
     sample_block_valuations,
     verify_block_assignment,
     verify_fullness,
@@ -28,30 +26,29 @@ from nchv.pba import (
 def _std_block(n=3):
     from nchv.basisfamily import FamilyMember, Provenance
 
-    member = FamilyMember(1, OrthonormalBasis(np.eye(n)), Provenance(None, 0, 0.0))
-    return build_block(member)
+    return FamilyMember(1, OrthonormalBasis(np.eye(n)), Provenance(None, 0, 0.0))
 
 
 class TestBuildBlock:
     def test_has_all_subset_elements(self, pba10):
         block = pba10.block(1)
-        atoms = atom_projections(block.member.basis)
+        atoms = atom_projections(block.basis)
         for mask in range(8):
             direct = sum((atoms[i] for i in range(3) if (mask >> i) & 1), np.zeros((3, 3)))
-            assert operator_norm(block.element(mask) - direct) < 1e-12
-        assert operator_norm(block.element(0)) == 0.0
-        assert operator_norm(block.element(7) - np.eye(3)) < 1e-10
+            assert operator_norm(subset_projection(block.basis, mask) - direct) < 1e-12
+        assert operator_norm(subset_projection(block.basis, 0)) == 0.0
+        assert operator_norm(subset_projection(block.basis, 7) - np.eye(3)) < 1e-10
 
     def test_elements_match_direct_subset_projections(self, pba10):
         block = pba10.block(3)
-        v = block.member.basis.mat
+        v = block.basis.mat
         for mask in range(1, 8):
             cols = v[:, [i for i in range(3) if (mask >> i) & 1]]
-            assert operator_norm(block.element(mask) - cols @ cols.conj().T) < 1e-12
+            assert operator_norm(subset_projection(block.basis, mask) - cols @ cols.conj().T) < 1e-12
 
     def test_unknown_mask_rejected(self, pba10):
         with pytest.raises(ValidationError):
-            pba10.block(1).element(99)
+            subset_projection(pba10.block(1).basis, 99)
 
 
 class TestPartialBooleanAlgebra:
@@ -95,7 +92,7 @@ class TestBornWeights:
 class TestStackedWeights:
     def test_rows_equal_the_single_block_formula_bit_for_bit(self, pba10):
         d = random_density(3, np.random.default_rng(3))
-        bases = np.array([pba10.block(m).member.basis.mat for m in range(1, 11)])
+        bases = np.array([pba10.block(m).basis.mat for m in range(1, 11)])
         for row, v in zip(pba._atom_weights(d, bases), bases):
             w = np.clip(np.einsum("ji,jk,ki->i", v.conj(), d, v).real, 0.0, None)
             assert np.array_equal(row, w / float(w.sum()))
@@ -149,6 +146,15 @@ class TestTruthValuation:
         block = pba10.block(1)
         for mask in range(8):
             assert val.evaluate(block, mask) + val.evaluate(block, 7 ^ mask) == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_mask_range_is_zero_to_all_atoms(self, n):
+        val = TruthValuation(np.eye(n) / n, np.random.default_rng(6))
+        block = _std_block(n)
+        assert val.evaluate(block, (1 << n) - 1) == 1
+        for mask in (-1, 1 << n):
+            with pytest.raises(ValidationError, match=f"mask {mask} out of range"):
+                val.evaluate(block, mask)
 
     def test_assignment_requires_population(self, pba10):
         val = TruthValuation(np.eye(3) / 3, np.random.default_rng(5))

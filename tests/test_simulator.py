@@ -21,7 +21,6 @@ from nchv.simulator import (
     TrialReport,
     born_probabilities,
     joint_probability,
-    noncontextuality_audit,
     pvm_candidates,
     realize_povm,
     realize_pvm,
@@ -29,7 +28,7 @@ from nchv.simulator import (
     run_trials,
     simulate_trial,
 )
-from nchv.pba import TruthValuation, born_weights
+from nchv.pba import TruthValuation, born_weights, verify_homomorphism
 
 
 def observable_on_member(family, member_pos, eigenvalues):
@@ -50,6 +49,14 @@ class TestRequestValidation:
                 MeasurementRequest.pvm(np.diag([1.0, 2.0]), precision)
             with pytest.raises(ValidationError, match="finite positive"):
                 MeasurementRequest.povm(halves, precision)
+
+    @pytest.mark.parametrize("seeds", [(-1, 0), (0, -1), (-5, -5)])
+    def test_negative_seed(self, seeds):
+        halves = [np.eye(2) / 2, np.eye(2) / 2]
+        with pytest.raises(ValidationError, match="seeds must be nonnegative"):
+            MeasurementRequest.pvm(np.diag([1.0, 2.0]), 0.1, *seeds)
+        with pytest.raises(ValidationError, match="seeds must be nonnegative"):
+            MeasurementRequest.povm(halves, 0.1, *seeds)
 
     def test_povm_targets_must_resolve(self):
         with pytest.raises(ValidationError):
@@ -249,34 +256,20 @@ def test_assignment_returns_scipys_columns(n):
     assert simulator._max_overlap_columns(-np.array(mats)).tolist() == want
 
 
-class TestLazyBlocks:
-    @pytest.fixture()
-    def built(self, monkeypatch):
-        built = []
-        real = simulator.build_block
-        monkeypatch.setattr(simulator, "build_block",
-                            lambda member: built.append(member.index) or real(member))
-        return built
-
-    def test_candidates_build_a_block_on_first_access_only(self, family10, built):
-        obs = HermitianObservable.from_operator(observable_on_member(family10, 0, [1.0, 2.0, 3.0]))
-        cands, _ = pvm_candidates(obs, family10, 1.999)
-        assert len(cands) == 10 and built == []
-        assert cands[3].block is cands[3].block
-        assert built == [cands[3].member_index] == [cands[3].block.index]
-
-    def test_run_trials_builds_no_block(self, family10, built):
-        h = observable_on_member(family10, 0, [1.0, 2.0, 3.0])
-        ctx = SimulationContext(np.eye(3) / 3, family=family10)
-        run_trials(MeasurementRequest.pvm(h, 1.999), 500, ctx)
-        assert built == []
-
-    def test_audit_builds_each_drawn_candidate_once(self, family10, built):
-        h = observable_on_member(family10, 5, [1.0, 2.0, 3.0])
-        req = MeasurementRequest.pvm(h, 1.999, apparatus_seed=15, system_seed=16)
-        ctx = SimulationContext(np.eye(3) / 3, family=family10)
-        assert run_noncontextuality_audit(req, ctx, 300) == 0
-        assert sorted(built) == [m.index for m in family10.members]
+def test_a_block_is_its_family_member(family10, monkeypatch):
+    algebra = pba.PartialBooleanAlgebra.from_family(family10)
+    assert all(algebra.block(i) is family10.members[i - 1] for i in range(1, 11))
+    checked = []
+    real = simulator.verify_homomorphism
+    monkeypatch.setattr(simulator, "verify_homomorphism",
+                        lambda val, block: checked.append(block) or real(val, block))
+    h = observable_on_member(family10, 5, [1.0, 2.0, 3.0])
+    req = MeasurementRequest.pvm(h, 1.999, apparatus_seed=15, system_seed=16)
+    ctx = SimulationContext(np.eye(3) / 3, family=family10)
+    assert run_noncontextuality_audit(req, ctx, 300) == 0
+    # every audited block is the drawn candidate's member itself
+    assert len(checked) == 300
+    assert {id(b) for b in checked} == {id(m) for m in family10.members}
 
 
 CHUNK = simulator._CHUNK
@@ -324,7 +317,7 @@ class TestGroupedOutcomes:
                                 fixed_apparatus=fixed)
         rep = run_trials(req, 3000, ctx)
         cands, _ = pvm_candidates(req.observable, family10, 1.999)
-        weights = [born_weights(ctx.density, c.block)[list(c.target_to_atom)] for c in cands]
+        weights = [born_weights(ctx.density, c.member)[list(c.target_to_atom)] for c in cands]
         if fixed:
             # the reference distribution is the weights of the one candidate every trial uses
             rows = [tuple(w.tolist()) for w in weights]
@@ -359,7 +352,7 @@ class TestRunTrialsPvm:
     @staticmethod
     def _candidate_weights(family, req, density):
         cands, _ = pvm_candidates(req.observable, family, req.precision)
-        return [tuple(born_weights(density, c.block)[list(c.target_to_atom)].tolist())
+        return [tuple(born_weights(density, c.member)[list(c.target_to_atom)].tolist())
                 for c in cands]
 
     def test_fixed_apparatus_uses_one_candidate(self, family10):
@@ -544,7 +537,7 @@ class TestSingleTrial:
             out = simulate_trial(req, ctx, np.random.default_rng(seed),
                                  np.random.default_rng(100 + seed))
             real = realize_pvm(req, family10, np.random.default_rng(seed))
-            atom = TruthValuation(ctx.density, np.random.default_rng(100 + seed)).populate(real.block)
+            atom = TruthValuation(ctx.density, np.random.default_rng(100 + seed)).populate(real.member)
             assert out.label == req.observable.eigenvalues[real.target_to_atom.index(atom)]
             assert out.realized_id == real.member_index
 
@@ -579,7 +572,7 @@ def test_context_without_family_or_registry_is_a_validation_error(entry):
 class TestAudit:
     def test_single_valuation_consistent_across_partitions(self, pba10):
         val = TruthValuation(np.eye(3) / 3, np.random.default_rng(5))
-        assert noncontextuality_audit(val, pba10.block(2)) == 0
+        assert verify_homomorphism(val, pba10.block(2))
 
     def test_run_returns_zero_violations(self, family10):
         h = observable_on_member(family10, 5, [1.0, 2.0, 3.0])
@@ -600,7 +593,7 @@ class TestAudit:
     def test_counts_a_block_that_breaks_a_law(self, pba10):
         val = TruthValuation(np.eye(3) / 3, np.random.default_rng(5))
         val.chosen[2] = 3  # no atom 3 in dimension 3: every value reads 0
-        assert noncontextuality_audit(val, pba10.block(2)) == 1
+        assert not verify_homomorphism(val, pba10.block(2))
 
     def test_audit_is_pvm_only(self):
         rng = np.random.default_rng(28)
