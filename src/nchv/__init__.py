@@ -16,7 +16,6 @@ from .basisfamily import (
     nearest_member,
     random_nearby_basis,
     repair_member,
-    totally_incompatible,
 )
 from .errors import (
     DegenerateTargetError,
@@ -44,11 +43,8 @@ from .opcore import (
     HermitianObservable,
     OrthonormalBasis,
     basis_distance,
-    basis_from_json,
     basis_to_json,
     check_density,
-    check_projection,
-    commutator,
     operator_from_json,
     operator_norm,
     operator_to_json,
@@ -78,8 +74,6 @@ from .simulator import (
     MeasurementRequest,
     SimulationContext,
     TrialReport,
-    born_probabilities,
-    joint_probability,
     realize_povm,
     realize_pvm,
     run_noncontextuality_audit,

@@ -46,7 +46,6 @@ __all__ = [
     "haar_basis",
     "random_nearby_basis",
     "min_cross_commutator_norm",
-    "totally_incompatible",
     "repair_member",
     "generate_family",
     "nearest_member",
@@ -177,18 +176,13 @@ def min_cross_commutator_norm(first: OrthonormalBasis, second: OrthonormalBasis)
     return min_commutator_norm(first.mat, second.mat[None])
 
 
-def totally_incompatible(first: OrthonormalBasis, second: OrthonormalBasis) -> bool:
-    """True when every cross pair of nontrivial subset projections has |[P, P']| > DEFAULT_FLOOR."""
-    return min_cross_commutator_norm(first, second) > DEFAULT_FLOOR
-
-
 def repair_member(
     candidate: OrthonormalBasis,
     stack: np.ndarray,
     budget: float,
-    rng: np.random.Generator | None = None,
-    index: int | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator,
+    index: int,
+    seed: int,
 ) -> FamilyMember:
     """Return a member totally incompatible with every basis of the (m, n, n) ``stack``.
 
@@ -201,13 +195,9 @@ def repair_member(
     """
     if budget <= 0:
         raise ValidationError("budget must be positive")
-    if index is None:
-        index = len(stack) + 1
     floor = DEFAULT_FLOOR
     if min_commutator_norm(candidate.mat, stack, floor) > floor:
         return FamilyMember(index, candidate, Provenance(seed, 0, 0.0))
-    if rng is None:
-        raise ValidationError("candidate needs repair but no rng was supplied")
     attempts = 0
     radius = budget
     for _ in range(RADIUS_LEVELS):

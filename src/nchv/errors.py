@@ -4,6 +4,12 @@ The command line maps these onto exit codes: validation errors to 4,
 precision errors to 3, missing realization candidates to 2.
 """
 
+__all__ = [
+    "NCHVError", "ValidationError", "DimensionMismatchError", "WeightNormalizationError",
+    "DegenerateTargetError", "SearchCapError", "NoCandidateError", "PrecisionError",
+    "RepairExhaustedError", "RegistryCollisionError",
+]
+
 
 class NCHVError(Exception):
     """Base class for package errors."""

@@ -43,11 +43,9 @@ __all__ = [
     "operator_norm",
     "spectral_norms",
     "spectral_distances",
-    "commutator",
     "commutator_norms",
     "min_commutator_norm",
     "is_hermitian",
-    "check_projection",
     "check_projections",
     "check_density",
     "normalized_weights",
@@ -63,7 +61,6 @@ __all__ = [
     "operator_to_json",
     "operator_from_json",
     "basis_to_json",
-    "basis_from_json",
     "read_json",
     "write_json",
     "write_text_atomic",
@@ -146,13 +143,6 @@ def spectral_distances(first, second=None, reach=None, owners=None):
     return rows, cols, dist
 
 
-def commutator(a, b) -> np.ndarray:
-    a = as_operator(a)
-    b = as_operator(b)
-    require_same_dim(a, b)
-    return a @ b - b @ a
-
-
 @lru_cache(maxsize=None)
 def _scan_sets(n: int):
     """Indicator of the masks T = 1 ... 2**(n-1) - 1, rows i of the sets S = {i},
@@ -210,11 +200,6 @@ def is_hermitian(op) -> bool:
     """True when every entry of op - op* is within STRUCT_TOL of zero."""
     mat = as_operator(op)
     return bool(np.max(np.abs(mat - dagger(mat))) <= STRUCT_TOL)
-
-
-def check_projection(op) -> int:
-    """Validate Hermiticity and idempotence of a projection, returning its rank."""
-    return check_projections(as_operator(op)[None])[0]
 
 
 def check_projections(stack) -> list[int]:
@@ -356,9 +341,6 @@ class OrthonormalBasis:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def vector(self, i: int) -> np.ndarray:
-        return self.mat[:, i]
-
 
 def basis_distance(first: OrthonormalBasis, second: OrthonormalBasis) -> float:
     """|I - U| for the unitary U carrying each vector of ``first`` to ``second``.
@@ -455,11 +437,6 @@ def _bases_from_json(nodes, n: int) -> list[OrthonormalBasis]:
     return bases
 
 
-def basis_from_json(obj) -> OrthonormalBasis:
-    node = JsonNode(obj, "basis")
-    return _bases_from_json([node], node["dim"].integer(1))[0]
-
-
 def _no_constant(name):
     raise ValueError(f"{name} is not a JSON number")
 
@@ -539,13 +516,17 @@ def write_text_atomic(text: str, path) -> None:
 
     The text goes to a fresh file in the same directory, which then replaces
     ``path`` in one rename: a failed write leaves the old file untouched and
-    removes its own partial file.
+    removes its own partial file. An ``OSError`` then raises ValidationError
+    naming ``path``.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc

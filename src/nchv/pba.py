@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basisfamily import BasisFamily, FamilyMember
-from .errors import ValidationError
+from .errors import DimensionMismatchError, ValidationError
 from .opcore import (
     check_density,
     commutator_norms,
@@ -99,7 +99,7 @@ def _atom_weights(d: np.ndarray, bases: np.ndarray) -> np.ndarray:
     decides which basis, if any, fails.
     """
     if bases.shape[-1] != d.shape[0]:
-        raise ValidationError("state and block dimensions differ")
+        raise DimensionMismatchError("state and block dimensions differ")
     return normalized_weights(np.einsum("mji,jk,mki->mi", bases.conj(), d, bases).real)
 
 

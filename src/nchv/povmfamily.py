@@ -28,6 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     PrecisionError,
     RegistryCollisionError,
     ValidationError,
@@ -727,7 +728,10 @@ def _povm_weights(density, members) -> np.ndarray:
     ``members`` is one resolution, (k, n, n), or a stack of them, (m, k, n, n);
     ``normalized_weights`` decides which resolution, if any, fails.
     """
-    return normalized_weights(np.trace(density @ np.asarray(members), axis1=-2, axis2=-1).real)
+    members = np.asarray(members)
+    if members.shape[-1] != density.shape[0]:
+        raise DimensionMismatchError("state and resolution dimensions differ")
+    return normalized_weights(np.trace(density @ members, axis1=-2, axis2=-1).real)
 
 
 def sample_povm_outcomes(density, tagged: TaggedResolution, rng: np.random.Generator, size: int) -> np.ndarray:

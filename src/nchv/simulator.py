@@ -28,15 +28,11 @@ from .errors import (
     ValidationError,
 )
 from .opcore import (
-    ALGEBRA_TOL,
     SPECTRAL_TOL,
     HermitianObservable,
     as_operator,
     check_density,
-    commutator,
     draw_indices,
-    operator_norm,
-    require_same_dim,
     spectral_norms,
     validate_resolution,
 )
@@ -57,8 +53,6 @@ __all__ = [
     "pvm_candidates",
     "realize_pvm",
     "realize_povm",
-    "born_probabilities",
-    "joint_probability",
     "run_trials",
     "simulate_trial",
     "run_noncontextuality_audit",
@@ -141,25 +135,6 @@ class SimulationContext:
 
     def __post_init__(self):
         self.density = check_density(self.density)
-
-
-def born_probabilities(density, resolution) -> np.ndarray:
-    """Born probabilities Tr(D A_i) of a positive-operator resolution."""
-    d = check_density(density)
-    mats = [as_operator(a) for a in resolution]
-    require_same_dim(d, *mats)
-    return np.array([float(np.trace(d @ a).real) for a in mats])
-
-
-def joint_probability(density, first, second) -> float:
-    """Tr(D P P') for a compatible projection pair."""
-    d = check_density(density)
-    p = as_operator(first)
-    q = as_operator(second)
-    require_same_dim(d, p, q)
-    if operator_norm(commutator(p, q)) > ALGEBRA_TOL:
-        raise ValidationError("joint probability requires commuting projections")
-    return float(np.trace(d @ p @ q).real)
 
 
 def _assignment(cost: list[list[float]]) -> list[int]:

@@ -22,6 +22,11 @@ def random_hermitian(n, rng, scale=1.0):
     return scale * (z + z.conj().T) / 2
 
 
+def commutator(a, b):
+    """[a, b] = ab - ba, the brute-force oracle for the batched commutator scans."""
+    return a @ b - b @ a
+
+
 def random_resolution(n, k, rng):
     """k positive operators summing to I: Wishart pieces whitened by their sum."""
     pieces = []

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nchv import basisfamily
 from nchv.basisfamily import (
+    DEFAULT_FLOOR,
     BasisFamily,
     FamilyMember,
     Provenance,
@@ -20,7 +21,6 @@ from nchv.basisfamily import (
     nearest_member,
     random_nearby_basis,
     repair_member,
-    totally_incompatible,
 )
 from nchv.errors import RepairExhaustedError, ValidationError
 from nchv.opcore import OrthonormalBasis, basis_distance, nontrivial_masks, subset_projection
@@ -58,12 +58,11 @@ def test_nearby_basis_rejects_bad_radius():
 def test_standard_vs_hadamard_min_commutator_is_half():
     # every cross pair of rank-1 projectors here gives |[P,Q]| = 1/2
     assert min_cross_commutator_norm(STD2, HADAMARD) == pytest.approx(0.5, abs=1e-12)
-    assert totally_incompatible(STD2, HADAMARD)
+    assert min_cross_commutator_norm(STD2, HADAMARD) > DEFAULT_FLOOR
 
 
 def test_a_basis_is_never_incompatible_with_itself():
     assert min_cross_commutator_norm(STD2, STD2) == 0.0
-    assert not totally_incompatible(STD2, STD2)
 
 
 def brute_min_cross_norm(first, second):
@@ -107,24 +106,19 @@ class TestRepair:
         rng = np.random.default_rng(3)
         first = FamilyMember(1, haar_basis(3, rng), Provenance(None, 0, 0.0))
         candidate = haar_basis(3, rng)
-        member = repair_member(candidate, first.basis.mat[None], budget=0.5, rng=rng)
-        assert member.provenance.replacements == 0
+        member = repair_member(candidate, first.basis.mat[None], budget=0.5, rng=rng, index=2, seed=3)
+        assert (member.index, member.provenance.seed, member.provenance.replacements) == (2, 3, 0)
         assert np.array_equal(member.basis.mat, candidate.mat)
 
     def test_identical_candidate_gets_moved(self):
         rng = np.random.default_rng(4)
         basis = haar_basis(3, rng)
         first = FamilyMember(1, basis, Provenance(None, 0, 0.0))
-        member = repair_member(basis, first.basis.mat[None], budget=0.25, rng=rng)
+        member = repair_member(basis, first.basis.mat[None], budget=0.25, rng=rng, index=2, seed=4)
+        assert (member.index, member.provenance.seed) == (2, 4)
         assert member.provenance.replacements > 0
         assert 0.0 < member.provenance.distance_moved < 0.25
-        assert totally_incompatible(member.basis, basis)
-
-    def test_needs_rng_when_dirty(self):
-        basis = haar_basis(3, np.random.default_rng(5))
-        first = FamilyMember(1, basis, Provenance(None, 0, 0.0))
-        with pytest.raises(ValidationError):
-            repair_member(basis, first.basis.mat[None], budget=0.25, rng=None)
+        assert min_cross_commutator_norm(member.basis, basis) > DEFAULT_FLOOR
 
     def test_unreachable_floor_exhausts(self, monkeypatch):
         # |[P,Q]| <= 1/2 for projections, so a floor of 1 can never clear
@@ -135,7 +129,7 @@ class TestRepair:
         basis = haar_basis(2, rng)
         first = haar_basis(2, rng)
         with pytest.raises(RepairExhaustedError, match="after 12 attempts"):
-            repair_member(basis, first.mat[None], budget=0.5, rng=rng)
+            repair_member(basis, first.mat[None], budget=0.5, rng=rng, index=2, seed=6)
 
 
 class TestGenerateFamily:
@@ -148,7 +142,7 @@ class TestGenerateFamily:
         fam = generate_family(2, 8, seed=5)
         for i in range(8):
             for j in range(i + 1, 8):
-                assert totally_incompatible(fam.members[i].basis, fam.members[j].basis)
+                assert min_cross_commutator_norm(fam.members[i].basis, fam.members[j].basis) > DEFAULT_FLOOR
 
     def test_member_indices_start_at_one(self):
         fam = generate_family(3, 4, seed=2)

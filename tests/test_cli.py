@@ -168,7 +168,7 @@ class TestSnap:
 
 
 @pytest.mark.parametrize("name", ["report.json", "report.csv", "snapped.json"])
-def test_interrupted_write_keeps_the_previous_file(workdir, monkeypatch, name):
+def test_interrupted_write_keeps_the_previous_file(workdir, monkeypatch, capsys, name):
     out = workdir / name
     if name.startswith("report"):
         argv = ("simulate", "pvm", "--family", workdir / "family.json",
@@ -183,8 +183,8 @@ def test_interrupted_write_keeps_the_previous_file(workdir, monkeypatch, name):
         raise OSError("disk full")
 
     monkeypatch.setattr(opcore.os, "replace", broken)
-    with pytest.raises(OSError, match="disk full"):
-        run_cli(*argv)
+    assert run_cli(*argv) == 4
+    assert f"error: cannot write {out}: disk full" in capsys.readouterr().err
     assert out.read_text() == "previous"
     assert sorted(p.name for p in workdir.iterdir()) == before
 
@@ -257,10 +257,10 @@ SNAP_AT = ("povm", "snap", "--targets", "{dir}/targets.json", "--eps", 0.01, "--
 FAMILY_GEN_AT = ("family", "gen", "--n", 2, "--count", 2, "--seed", 1, "--out", "{dir}/f.json")
 
 
-def at_eps(argv, eps):
-    """``argv`` with the value of its ``--eps`` replaced."""
-    at = argv.index("--eps") + 1
-    return argv[:at] + (eps,) + argv[at + 1:]
+def with_value(argv, flag, value):
+    """``argv`` with the value of its ``flag`` replaced."""
+    at = argv.index(flag) + 1
+    return argv[:at] + (value,) + argv[at + 1:]
 
 
 def without(argv, flag):
@@ -303,21 +303,28 @@ def without(argv, flag):
      json.dumps({"members": [BAD_RE]})),
     (("simulate", "pvm", "--family", "{dir}/missing.json", "--state", "{dir}/bad.json",
       "--target", "{dir}/target.json", "--eps", 0.5, "--trials", 10), json.dumps(BAD_RE)),
-    (at_eps(SIMULATE_PVM_AT, "nan"), json.dumps(valid_family())),
-    (at_eps(SIMULATE_PVM_AT, "inf"), json.dumps(valid_family())),
-    (at_eps(SIMULATE_POVM_NEW, "nan"), None),
-    (at_eps(SIMULATE_POVM_NEW, "inf"), None),
-    (at_eps(SNAP_AT, "nan"), None),
-    (at_eps(SNAP_AT, "inf"), None),
+    (with_value(SIMULATE_PVM_AT, "--eps", "nan"), json.dumps(valid_family())),
+    (with_value(SIMULATE_PVM_AT, "--eps", "inf"), json.dumps(valid_family())),
+    (with_value(SIMULATE_POVM_NEW, "--eps", "nan"), None),
+    (with_value(SIMULATE_POVM_NEW, "--eps", "inf"), None),
+    (with_value(SNAP_AT, "--eps", "nan"), None),
+    (with_value(SNAP_AT, "--eps", "inf"), None),
     (("kscheck", "--fixture", FIXTURE, "--limit", 0), None),
     (FAMILY_GEN_AT + ("--net-bound", 1), None),
-    (at_eps(SIMULATE_PVM_AT, "x"), json.dumps(valid_family())),
+    (with_value(SIMULATE_PVM_AT, "--eps", "x"), json.dumps(valid_family())),
     (without(SIMULATE_POVM_NEW, "--targets"), None),
     (without(SNAP_AT, "--out"), None),
     (("kscheck",), None),
     (("family", "gen", "--n", 2, "--count", 2, "--seed", -1, "--out", "{dir}/f.json"), None),
     (SIMULATE_PVM_AT + ("--seed-app", -1), json.dumps(valid_family())),
     (SIMULATE_POVM_NEW + ("--seed-sys", -1), None),
+    (with_value(SIMULATE_POVM_NEW, "--state", "{dir}/state3.json"), None),
+    (with_value(SIMULATE_PVM_AT, "--state", "{dir}/state3.json"), json.dumps(valid_family())),
+    (with_value(FAMILY_GEN_AT, "--out", "{dir}/nodir/f.json"), None),
+    (with_value(SNAP_AT, "--out", "{dir}/nodir/x.json"), None),
+    (with_value(SIMULATE_POVM_NEW, "--registry", "{dir}/nodir/r.json"), None),
+    (SIMULATE_PVM_AT + ("--report", "{dir}/nodir/r.json"), json.dumps(valid_family())),
+    (with_value(FAMILY_GEN_AT, "--out", "{dir}/taken.json"), None),
 ], ids=["malformed-json", "missing-file", "targets-without-members", "missing-family",
         "malformed-registry", "repeated-registry-index", "colliding-registry-members",
         "resolution-index-past-end",
@@ -328,11 +335,16 @@ def without(argv, flag):
         "pvm-eps-nan", "pvm-eps-inf", "povm-eps-nan", "povm-eps-inf", "snap-eps-nan",
         "snap-eps-inf", "kscheck-limit-zero", "gen-unknown-flag", "pvm-eps-not-a-number",
         "povm-missing-flag", "snap-missing-flag", "kscheck-missing-flag",
-        "gen-negative-seed", "pvm-negative-apparatus-seed", "povm-negative-system-seed"])
+        "gen-negative-seed", "pvm-negative-apparatus-seed", "povm-negative-system-seed",
+        "povm-state-dimension", "pvm-state-dimension", "gen-out-missing-dir",
+        "snap-out-missing-dir", "povm-registry-missing-dir", "pvm-report-missing-dir",
+        "gen-out-is-a-directory"])
 def test_unreadable_input_exits_four(tmp_path, capsys, argv, payload):
     if payload is not None:
         (tmp_path / "bad.json").write_text(payload)
+    (tmp_path / "taken.json").mkdir()
     (tmp_path / "state.json").write_text(json.dumps(operator_to_json(np.eye(2) / 2)))
+    (tmp_path / "state3.json").write_text(json.dumps(operator_to_json(np.eye(3) / 3)))
     (tmp_path / "target.json").write_text(json.dumps(operator_to_json(np.diag([1.0, 2.0]))))
     (tmp_path / "targets.json").write_text(
         json.dumps({"members": [operator_to_json(np.eye(2) / 2)] * 2})
@@ -340,6 +352,7 @@ def test_unreadable_input_exits_four(tmp_path, capsys, argv, payload):
     code = run_cli(*(str(a).format(dir=tmp_path) for a in argv))
     assert code == 4
     assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 SIMULATE_POVM_AT = ("simulate", "povm", "--registry", "{dir}/bad.json", "--state", "{dir}/state.json",

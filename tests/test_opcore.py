@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_density, random_hermitian, reference_spectral_distances
-from nchv.basisfamily import random_nearby_basis
+from helpers import commutator, random_density, random_hermitian, reference_spectral_distances
+from nchv.basisfamily import BasisFamily, FamilyMember, Provenance, random_nearby_basis
 from nchv.errors import DimensionMismatchError, ValidationError
 from nchv import opcore
 from nchv.opcore import (
@@ -19,12 +19,8 @@ from nchv.opcore import (
     OrthonormalBasis,
     atom_projections,
     basis_distance,
-    basis_from_json,
-    basis_to_json,
     check_density,
-    check_projection,
     check_projections,
-    commutator,
     commutator_norms,
     min_commutator_norm,
     nontrivial_masks,
@@ -32,6 +28,7 @@ from nchv.opcore import (
     operator_norm,
     operator_to_json,
     read_json,
+    require_same_dim,
     spectral_distances,
     spectral_resolution,
     subset_projection,
@@ -156,15 +153,15 @@ class TestSpectralDistances:
 
 class TestProjectionAndDensity:
     def test_projection_rank(self):
-        assert check_projection(np.diag([1.0, 1.0, 0.0])) == 2
+        assert check_projections(np.diag([1.0, 1.0, 0.0])[None])[0] == 2
 
     def test_rejects_non_idempotent(self):
         with pytest.raises(ValidationError):
-            check_projection(np.diag([0.5, 0.0]))
+            check_projections(np.diag([0.5, 0.0])[None])
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError, match="not Hermitian"):
-            check_projection(np.array([[1.0, 1e-9], [0.0, 0.0]]))
+            check_projections(np.array([[1.0, 1e-9], [0.0, 0.0]])[None])
 
     def test_density_accepts_maximally_mixed(self):
         check_density(np.eye(4) / 4)
@@ -179,7 +176,7 @@ class TestProjectionAndDensity:
 
     def test_dimension_mismatch_raised(self):
         with pytest.raises(DimensionMismatchError):
-            commutator(np.eye(2), np.eye(3))
+            require_same_dim(np.eye(2), np.eye(3))
 
 
 def reference_check_projection(op):
@@ -309,7 +306,8 @@ class TestBasis:
 
     def test_json_roundtrip(self):
         b = OrthonormalBasis(HADAMARD)
-        again = basis_from_json(basis_to_json(b))
+        family = BasisFamily(2, 1.0, 1e-8, 0, (FamilyMember(1, b, Provenance(0, 0, 0.0)),))
+        again = BasisFamily.from_json(family.to_json()).members[0].basis
         assert basis_distance(b, again) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -324,7 +322,7 @@ class TestSubsetProjections:
         q, _ = np.linalg.qr(z)
         basis = OrthonormalBasis(q)
         for mask in nontrivial_masks(3):
-            assert check_projection(subset_projection(basis, mask)) == bin(mask).count("1")
+            assert check_projections(subset_projection(basis, mask)[None])[0] == bin(mask).count("1")
 
     def test_complement_masks_sum_to_identity(self):
         basis = OrthonormalBasis(np.eye(3))
@@ -337,7 +335,7 @@ class TestSpectralResolution:
         h = np.diag([1.0, 1.0 + 1e-12, 5.0])
         pairs = spectral_resolution(h)
         assert len(pairs) == 2
-        ranks = [check_projection(p) for _, p in pairs]
+        ranks = check_projections([p for _, p in pairs])
         assert ranks == [2, 1]
 
     def test_eigenvalues_ascend(self):
@@ -476,14 +474,23 @@ class TestJsonFiles:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["alias.json", "out.json"]
 
     def test_failed_rename_keeps_the_old_file_and_no_partial_one(self, tmp_path, monkeypatch):
+        self.check_failed_rename(tmp_path, monkeypatch, OSError("disk full"), ValidationError,
+                                 "cannot write .*out.json: disk full")
+
+    def test_failed_rename_passes_other_exceptions_on(self, tmp_path, monkeypatch):
+        self.check_failed_rename(tmp_path, monkeypatch, KeyboardInterrupt("stop"), KeyboardInterrupt, "stop")
+
+    @staticmethod
+    def check_failed_rename(tmp_path, monkeypatch, raised, expected, message):
+        """An OSError becomes a ValidationError naming the path; anything else propagates."""
         path = tmp_path / "out.json"
         write_json({"b": 1}, path)
 
         def broken(src, dst):
-            raise OSError("disk full")
+            raise raised
 
         monkeypatch.setattr(opcore.os, "replace", broken)
-        with pytest.raises(OSError):
+        with pytest.raises(expected, match=message):
             write_json({"b": 2}, path)
         assert path.read_text() == '{\n "b": 1\n}'
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]

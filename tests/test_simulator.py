@@ -10,7 +10,7 @@ from helpers import (
     reference_pvm_matches,
 )
 from nchv.basisfamily import BasisFamily, FamilyMember, Provenance, generate_family, haar_basis
-from nchv.errors import DegenerateTargetError, NoCandidateError, ValidationError
+from nchv.errors import DegenerateTargetError, DimensionMismatchError, NoCandidateError, ValidationError
 from nchv.opcore import HermitianObservable
 from nchv import pba, povmfamily, simulator
 from nchv.opcore import operator_norm
@@ -19,8 +19,6 @@ from nchv.simulator import (
     MeasurementRequest,
     SimulationContext,
     TrialReport,
-    born_probabilities,
-    joint_probability,
     pvm_candidates,
     realize_povm,
     realize_pvm,
@@ -68,24 +66,6 @@ class TestRequestValidation:
             MeasurementRequest.povm([np.eye(2)], 0.1)
 
 
-class TestProbabilities:
-    def test_born_oracle(self):
-        d = np.diag([0.5, 0.3, 0.2]).astype(complex)
-        p = born_probabilities(d, [np.diag([1.0, 0, 0]), np.diag([0.0, 1, 1])])
-        assert p == pytest.approx([0.5, 0.5], abs=1e-12)
-
-    def test_joint_of_commuting_projections(self):
-        d = np.eye(2) / 2
-        p = np.diag([1.0, 0.0])
-        assert joint_probability(d, p, p) == pytest.approx(0.5, abs=1e-12)
-        assert joint_probability(d, p, np.eye(2) - p) == pytest.approx(0.0, abs=1e-12)
-
-    def test_joint_rejects_noncommuting(self):
-        plus = np.full((2, 2), 0.5)
-        with pytest.raises(ValidationError):
-            joint_probability(np.eye(2) / 2, np.diag([1.0, 0.0]), plus)
-
-
 class TestPvmRealization:
     def test_exact_member_is_single_tight_candidate(self, family10):
         h = observable_on_member(family10, 4, [1.0, 2.0, 3.0])
@@ -117,7 +97,7 @@ class TestPvmRealization:
         basis = family10.members[7].basis
         for label_pos, atom in enumerate(real.target_to_atom):
             proj = obs.projections[label_pos]
-            v = basis.vector(atom)
+            v = basis.mat[:, atom]
             assert v.conj() @ proj @ v == pytest.approx(1.0, abs=1e-9)
 
     def test_no_candidate_reports_nearest(self, family10):
@@ -567,6 +547,18 @@ POVM_NO_SOURCE = MeasurementRequest.povm(random_resolution(3, 2, np.random.defau
 def test_context_without_family_or_registry_is_a_validation_error(entry):
     with pytest.raises(ValidationError, match="in the context"):
         entry(SimulationContext(np.eye(3) / 3))
+
+
+@pytest.mark.parametrize("request_", [MeasurementRequest.pvm(np.diag([1.0, 2.0, 3.0]), 1.999),
+                                      POVM_NO_SOURCE], ids=["pvm", "povm"])
+@pytest.mark.parametrize("entry", [
+    lambda req, ctx: simulate_trial(req, ctx, np.random.default_rng(0), np.random.default_rng(1)),
+    lambda req, ctx: run_trials(req, 10, ctx),
+], ids=["simulate_trial", "run_trials"])
+def test_state_of_another_dimension_is_a_dimension_mismatch(family10, request_, entry):
+    ctx = SimulationContext(np.eye(2) / 2, family=family10, registry=ResolutionRegistry(3))
+    with pytest.raises(DimensionMismatchError, match="dimensions differ"):
+        entry(request_, ctx)
 
 
 class TestAudit:
