@@ -38,6 +38,16 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
+def _report_spec(value: str) -> tuple[str, str | None]:
+    """A --report value as (format, path), where a path of None means stdout."""
+    for fmt in ("json", "csv"):
+        if value == fmt:
+            return fmt, None
+        if value.endswith("." + fmt):
+            return fmt, value
+    raise argparse.ArgumentTypeError(f"cannot infer a report format from {value!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="nchv",
@@ -67,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed-sys", type=int, default=1, help="system stream seed")
         cmd.add_argument("--fixed-apparatus", action="store_true",
                          help="realize once and reuse for every trial")
-        cmd.add_argument("--report", default=None,
+        cmd.add_argument("--report", type=_report_spec, default=None,
                          help="'json' or 'csv' to stdout, or a path with that suffix")
         if kind == "pvm":
             cmd.add_argument("--family", required=True, help="family JSON path")
@@ -98,7 +108,7 @@ def _load_targets(path):
     return [operator_from_json(entry) for entry in entries.elements()]
 
 
-def _emit_report(report, spec: str | None):
+def _emit_report(report, spec: tuple[str, str | None] | None):
     if spec is None:
         print(f"{report.kind} run, {report.n_trials} trials, "
               f"tv distance {report.tv_distance:.5f}")
@@ -106,16 +116,12 @@ def _emit_report(report, spec: str | None):
                                            report.empirical, report.born):
             print(f"  {label}: {count}  empirical {emp:.5f}  born {born:.5f}")
         return
-    if spec == "json":
-        print(report.to_json_str())
-    elif spec == "csv":
-        print(report.to_csv(), end="")
-    elif spec.endswith(".json"):
-        write_text_atomic(report.to_json_str() + "\n", spec)
-    elif spec.endswith(".csv"):
-        write_text_atomic(report.to_csv(), spec)
+    fmt, path = spec
+    text = report.to_json_str() + "\n" if fmt == "json" else report.to_csv()
+    if path is None:
+        print(text, end="")
     else:
-        raise ValidationError(f"cannot infer a report format from {spec!r}")
+        write_text_atomic(text, path)
 
 
 def _cmd_family_gen(args) -> int:

@@ -307,7 +307,7 @@ def validate_resolution(ops) -> bool:
     n = require_same_dim(*mats)
     stack = np.array(mats)
     adjoint = stack.conj().swapaxes(-1, -2)
-    if not np.abs(stack - adjoint).max() <= 1e-10:
+    if not np.abs(stack - adjoint).max() <= ALGEBRA_TOL:
         return False
     if np.linalg.eigvalsh((stack + adjoint) / 2).min() < -ALGEBRA_TOL:
         return False

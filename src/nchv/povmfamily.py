@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .opcore import (
+    SPECTRAL_TOL,
     JsonNode,
     as_operator,
     check_density,
@@ -383,7 +384,7 @@ def _rationalize(stack, delta: float) -> list[tuple]:
     k, n = stack.shape[:2]
     adjoint = stack.conj().swapaxes(-1, -2)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the check
-        if not np.abs(stack - adjoint).max() <= 1e-9:
+        if not np.abs(stack - adjoint).max() <= SPECTRAL_TOL:
             raise ValidationError("target must be Hermitian within 1e-9")
     re, im = _grid_scaled(stack, _CAP_BITS)
     w, v = np.linalg.eigh((stack + adjoint) / 2)
@@ -548,33 +549,18 @@ def _snap(mats, eps: float) -> tuple[RationalResolution, SnapDiagnostics]:
                                        max_shift, gap_ok)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TaggedResolution:
     """A rational resolution conjugated by the phase tag of registry index m.
 
-    Identity is the (base, index) pair; the floating members are derived
-    data, regenerable from it.
+    Identity is the (index, base) pair; the angle and the floating members
+    are derived data, regenerable from it.
     """
 
     index: int
     base: RationalResolution
-    theta: float
-    tag: np.ndarray
-    members: tuple[np.ndarray, ...]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TaggedResolution)
-            and self.index == other.index
-            and self.base == other.base
-        )
-
-    def __hash__(self):
-        return hash((self.index, self.base))
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
+    theta: float = field(compare=False)
+    members: tuple[np.ndarray, ...] = field(compare=False)
 
     @property
     def k(self) -> int:
@@ -595,14 +581,12 @@ def phase_tag(base: RationalResolution, index: int) -> TaggedResolution:
     if s == 0.0:
         raise PrecisionError(f"phase angle underflows at index {index}")
     theta = math.asin(s)
-    n = base.dim
-    tag = np.eye(n, dtype=complex)
+    tag = np.eye(base.dim, dtype=complex)
     tag[0, 0] = complex(math.cos(theta), math.sin(theta))
     members = tuple(tag @ m.to_complex() @ dagger(tag) for m in base.members)
     for m in members:
         m.setflags(write=False)
-    tag.setflags(write=False)
-    return TaggedResolution(index=index, base=base, theta=theta, tag=tag, members=members)
+    return TaggedResolution(index=index, base=base, theta=theta, members=members)
 
 
 class ResolutionRegistry:
@@ -632,13 +616,11 @@ class ResolutionRegistry:
         return len(self.entries)
 
     def smallest_free_index(self, eps_remaining: float) -> int:
-        if eps_remaining <= 0:
+        if not eps_remaining > 0:
             raise ValidationError("precision budget must be positive")
         m = 1
         while 4.0 * (math.pi / 4.0) ** m > eps_remaining:
             m += 1
-            if m > 20000:
-                raise PrecisionError("precision budget drives the phase angle into underflow")
         while m in self._used:
             m += 1
         return m

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -390,17 +390,8 @@ class TrialReport:
             raise ValidationError("reference distribution does not sum to 1")
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_trials": self.n_trials,
-            "labels": list(self.labels),
-            "counts": list(self.counts),
-            "empirical": list(self.empirical),
-            "born": list(self.born),
-            "tv_distance": self.tv_distance,
-            "z_scores": list(self.z_scores),
-            "config": self.config,
-        }
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
 
     def to_csv(self) -> str:
         buf = io.StringIO()

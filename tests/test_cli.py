@@ -81,6 +81,16 @@ class TestSimulatePvm:
         assert payload["n_trials"] == 400
         assert sum(payload["counts"]) == 400
 
+    def test_csv_report_to_stdout(self, workdir, capsys):
+        code = run_cli("simulate", "pvm", "--family", workdir / "family.json",
+                       "--state", workdir / "state.json",
+                       "--target", workdir / "target.json",
+                       "--eps", 1e-6, "--trials", 100, "--report", "csv")
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "label,count,empirical,born,z_score"
+        assert len(lines) == 4
+
     def test_csv_report_file(self, workdir):
         out = workdir / "report.csv"
         code = run_cli("simulate", "pvm", "--family", workdir / "family.json",
@@ -242,6 +252,11 @@ def valid_family(**member):
     return family
 
 
+def dimension_three_family():
+    """A one-member n = 3 family of the standard basis."""
+    return dict(valid_family(basis=basis_to_json(OrthonormalBasis(np.eye(3)))), n=3)
+
+
 def operator_fixture(entry):
     return json.dumps({"dim": 2, "operators": [entry]})
 
@@ -325,6 +340,15 @@ def without(argv, flag):
     (with_value(SIMULATE_POVM_NEW, "--registry", "{dir}/nodir/r.json"), None),
     (SIMULATE_PVM_AT + ("--report", "{dir}/nodir/r.json"), json.dumps(valid_family())),
     (with_value(FAMILY_GEN_AT, "--out", "{dir}/taken.json"), None),
+    (SIMULATE_PVM_AT + ("--report", "{dir}/out.txt"), json.dumps(valid_family())),
+    (SIMULATE_POVM_NEW + ("--report", "{dir}/out.txt"), None),
+    (with_value(SIMULATE_PVM_AT, "--trials", 0), json.dumps(valid_family())),
+    (SIMULATE_PVM_AT, json.dumps(dimension_three_family())),
+    (("kscheck", "--fixture", "{dir}/bad.json"),
+     json.dumps({"dim": 2, "vectors": [[1, 0], [0, 0]], "resolutions": [[0, 1]]})),
+    (("simulate", "povm", "--registry", "{dir}/bad.json", "--state", "{dir}/state3.json",
+      "--targets", "{dir}/targets3.json", "--eps", 0.5, "--trials", 10),
+     json.dumps(saved_layout_registry())),
 ], ids=["malformed-json", "missing-file", "targets-without-members", "missing-family",
         "malformed-registry", "repeated-registry-index", "colliding-registry-members",
         "resolution-index-past-end",
@@ -338,8 +362,11 @@ def without(argv, flag):
         "gen-negative-seed", "pvm-negative-apparatus-seed", "povm-negative-system-seed",
         "povm-state-dimension", "pvm-state-dimension", "gen-out-missing-dir",
         "snap-out-missing-dir", "povm-registry-missing-dir", "pvm-report-missing-dir",
-        "gen-out-is-a-directory"])
+        "gen-out-is-a-directory", "pvm-report-unknown-suffix", "povm-report-unknown-suffix",
+        "pvm-zero-trials", "pvm-family-dimension", "vector-zero", "povm-registry-dimension"])
 def test_unreadable_input_exits_four(tmp_path, capsys, argv, payload):
+    """Exit 4 with an error line, and nothing written: no temp file, no new registry,
+    and the input file as it was."""
     if payload is not None:
         (tmp_path / "bad.json").write_text(payload)
     (tmp_path / "taken.json").mkdir()
@@ -349,10 +376,16 @@ def test_unreadable_input_exits_four(tmp_path, capsys, argv, payload):
     (tmp_path / "targets.json").write_text(
         json.dumps({"members": [operator_to_json(np.eye(2) / 2)] * 2})
     )
+    (tmp_path / "targets3.json").write_text(
+        json.dumps({"members": [operator_to_json(np.eye(3) / 2)] * 2})
+    )
     code = run_cli(*(str(a).format(dir=tmp_path) for a in argv))
     assert code == 4
     assert "error:" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.tmp"))
+    assert not (tmp_path / "registry.json").exists()
+    if payload is not None:
+        assert (tmp_path / "bad.json").read_text() == payload
 
 
 SIMULATE_POVM_AT = ("simulate", "povm", "--registry", "{dir}/bad.json", "--state", "{dir}/state.json",

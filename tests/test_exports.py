@@ -1,6 +1,8 @@
-"""Every module's ``__all__`` lists exactly what the module defines in public."""
+"""The public surface: every module's ``__all__`` lists exactly what the module
+defines in public, and the README's library example runs as written."""
 
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +42,11 @@ def test_package_reexports_only_listed_names():
 def test_names_only_tests_called_are_gone(module, name):
     assert not hasattr(module, name)
     assert not hasattr(nchv, name)
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    tv, counts = capsys.readouterr().out.split(" ", 1)
+    assert 0 <= float(tv) < 0.05 and counts.startswith("{")
