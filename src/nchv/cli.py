@@ -16,14 +16,13 @@ a malformed command line included.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .basisfamily import BasisFamily, generate_family
 from .errors import NCHVError, NoCandidateError, PrecisionError, ValidationError
 from .kscheck import find_truth_functions, load_fixture
-from .opcore import JsonNode, operator_from_json, read_json, write_text_atomic
+from .opcore import JsonNode, json_text, operator_from_json, read_json, write_json, write_text_atomic
 from .povmfamily import ResolutionRegistry, snap_resolution
 from .simulator import MeasurementRequest, SimulationContext, run_trials
 
@@ -108,20 +107,15 @@ def _load_targets(path):
     return [operator_from_json(entry) for entry in entries.elements()]
 
 
-def _emit_report(report, spec: tuple[str, str | None] | None):
+def _report_text(report, spec: tuple[str, str | None] | None) -> str:
     if spec is None:
-        print(f"{report.kind} run, {report.n_trials} trials, "
-              f"tv distance {report.tv_distance:.5f}")
+        lines = [f"{report.kind} run, {report.n_trials} trials, "
+                 f"tv distance {report.tv_distance:.5f}"]
         for label, count, emp, born in zip(report.labels, report.counts,
                                            report.empirical, report.born):
-            print(f"  {label}: {count}  empirical {emp:.5f}  born {born:.5f}")
-        return
-    fmt, path = spec
-    text = report.to_json_str() + "\n" if fmt == "json" else report.to_csv()
-    if path is None:
-        print(text, end="")
-    else:
-        write_text_atomic(text, path)
+            lines.append(f"  {label}: {count}  empirical {emp:.5f}  born {born:.5f}")
+        return "\n".join(lines) + "\n"
+    return json_text(report.to_json()) if spec[0] == "json" else report.to_csv()
 
 
 def _cmd_family_gen(args) -> int:
@@ -148,7 +142,6 @@ def _cmd_simulate(args, kind: str) -> int:
                                          system_seed=args.seed_sys)
         context = SimulationContext(density, family=BasisFamily.load(args.family),
                                     fixed_apparatus=args.fixed_apparatus)
-        report = run_trials(request, args.trials, context)
     else:
         targets = _load_targets(args.targets)
         request = MeasurementRequest.povm(targets, args.eps,
@@ -161,16 +154,24 @@ def _cmd_simulate(args, kind: str) -> int:
             registry = ResolutionRegistry(targets[0].shape[0])
         context = SimulationContext(density, registry=registry,
                                     fixed_apparatus=args.fixed_apparatus)
-        report = run_trials(request, args.trials, context)
-        registry.save(registry_path)
-    _emit_report(report, args.report)
+    report = run_trials(request, args.trials, context)
+    text = _report_text(report, args.report)
+    report_path = args.report[1] if args.report else None
+    files = [(text, report_path)] if report_path else []
+    if kind == "povm":
+        files.append((json_text(registry.to_json()), registry_path))
+    # the report file and the registry are staged together, so a failed write
+    # leaves both as they were, and stdout gets the report only once both are written
+    write_text_atomic(*files)
+    if report_path is None:
+        print(text, end="")
     return 0
 
 
 def _cmd_snap(args) -> int:
     targets = _load_targets(args.targets)
     resolution, diag = snap_resolution(targets, args.eps, return_diagnostics=True)
-    write_text_atomic(json.dumps(resolution.to_json(), sort_keys=True) + "\n", args.out)
+    write_json(resolution.to_json(), args.out)
     print(f"snapped {resolution.k} members in dimension {resolution.dim} "
           f"to {args.out} (max shift {diag.max_member_shift:.3e})")
     return 0

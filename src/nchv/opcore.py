@@ -4,10 +4,14 @@ Operators are plain complex128 numpy arrays of shape (n, n). Ordered
 orthonormal bases get a thin immutable wrapper because vector order is
 significant for the basis metric. Everything downstream shares one
 tolerance ladder: structural identities at 1e-12, derived algebra at
-1e-10, spectral and other iterative results at 1e-9 and 1e-8. The JSON
-helpers at the end write family and registry files and read every input
-file through one typed decoder, ``JsonNode``, whose accessors turn any
-malformed value into a ValidationError naming its key path.
+1e-10, spectral and other iterative results at 1e-9 and 1e-8. Roundoff
+grows with the entries, so the Hermiticity check of states and
+observables, the eigenvalue merge and the spectral reconstruction check
+each use the larger of their rung and STRUCT_TOL times the largest |entry|:
+at unit scale and below they decide as the bare rungs do. The JSON helpers at the end decide the
+one layout of every file and report nchv writes, and read every input file
+through one typed decoder, ``JsonNode``, whose accessors turn any malformed
+value into a ValidationError naming its key path.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ __all__ = [
     "operator_from_json",
     "basis_to_json",
     "read_json",
+    "json_text",
     "write_json",
     "write_text_atomic",
     "JsonNode",
@@ -196,10 +201,18 @@ def min_commutator_norm(first: np.ndarray, others: np.ndarray, stop_at: float = 
     return best
 
 
+def _roundoff_floor(mat) -> float:
+    """STRUCT_TOL times the largest |entry| of ``mat``, 0 when an entry is not
+    finite: a check on ``mat`` uses the larger of its rung and this floor."""
+    top = float(np.abs(mat).max())
+    return STRUCT_TOL * top if top < np.inf else 0.0
+
+
 def is_hermitian(op) -> bool:
-    """True when every entry of op - op* is within STRUCT_TOL of zero."""
+    """True when every entry of op - op* is within STRUCT_TOL of zero, or
+    within the roundoff floor of ``op`` when that is larger."""
     mat = as_operator(op)
-    return bool(np.max(np.abs(mat - dagger(mat))) <= STRUCT_TOL)
+    return bool(np.max(np.abs(mat - dagger(mat))) <= max(STRUCT_TOL, _roundoff_floor(mat)))
 
 
 def check_projections(stack) -> list[int]:
@@ -274,22 +287,33 @@ def draw_indices(weights: np.ndarray, rng: np.random.Generator, size: int) -> np
 def spectral_resolution(op) -> list[tuple[float, np.ndarray]]:
     """Eigenvalues and spectral projections of a Hermitian operator.
 
-    Eigenvalues closer than EIGEN_MERGE_TOL are merged into one projection.
-    Returns (eigenvalue, projection) pairs in ascending eigenvalue order;
-    the projections are mutually orthogonal and sum to the identity.
+    Eigenvalues closer than EIGEN_MERGE_TOL, or than the roundoff floor of
+    ``op`` when that is larger, are merged into one projection. Returns
+    (eigenvalue, projection) pairs in ascending eigenvalue order. The pairs
+    must rebuild ``op`` within SPECTRAL_TOL (or the floor) and the
+    projections sum to the identity within ALGEBRA_TOL, both in spectral
+    norm; a failed check raises ValidationError, the rebuild's first.
     """
     mat = as_operator(op)
     if not is_hermitian(mat):
         raise ValidationError("spectral resolution requires a Hermitian operator")
     w, v = np.linalg.eigh((mat + dagger(mat)) / 2)
+    floor = _roundoff_floor(mat)
+    merge = max(EIGEN_MERGE_TOL, floor)
     pairs: list[tuple[float, np.ndarray]] = []
     start = 0
     for stop in range(1, len(w) + 1):
-        if stop == len(w) or w[stop] - w[start] > EIGEN_MERGE_TOL:
+        if stop == len(w) or w[stop] - w[start] > merge:
             cols = v[:, start:stop]
             proj = cols @ dagger(cols)
             pairs.append((float(np.mean(w[start:stop])), proj))
             start = stop
+    recon = sum(val * proj for val, proj in pairs)
+    recon_gap, sum_gap = spectral_norms(np.array([recon - mat, sum(p for _, p in pairs) - np.eye(len(w))]))
+    if recon_gap > max(SPECTRAL_TOL, floor):
+        raise ValidationError("spectral resolution does not reconstruct the operator")
+    if sum_gap > ALGEBRA_TOL:
+        raise ValidationError("spectral projections do not sum to the identity")
     return pairs
 
 
@@ -382,14 +406,7 @@ class HermitianObservable:
     @classmethod
     def from_operator(cls, op) -> "HermitianObservable":
         mat = as_operator(op)
-        pairs = spectral_resolution(mat)
-        values, projs = zip(*pairs)
-        recon = sum(val * proj for val, proj in pairs)
-        recon_gap, sum_gap = spectral_norms(np.array([recon - mat, sum(projs) - np.eye(mat.shape[0])]))
-        if recon_gap > SPECTRAL_TOL:
-            raise ValidationError("spectral resolution does not reconstruct the operator")
-        if sum_gap > ALGEBRA_TOL:
-            raise ValidationError("spectral projections do not sum to the identity")
+        values, projs = zip(*spectral_resolution(mat))
         for proj in projs:
             proj.setflags(write=False)
         return cls(op=mat, eigenvalues=values, projections=projs)
@@ -506,27 +523,38 @@ class JsonNode:
         return arr
 
 
+def json_text(obj) -> str:
+    """``obj`` in the one layout nchv writes JSON in: one line with sorted keys
+    and the default separators, then a newline."""
+    return json.dumps(obj, sort_keys=True) + "\n"
+
+
 def write_json(obj, path) -> None:
-    """Write ``obj`` as JSON (sorted keys, indent 1) to ``path`` atomically."""
-    write_text_atomic(json.dumps(obj, sort_keys=True, indent=1), path)
+    """Write ``json_text(obj)`` to ``path`` atomically."""
+    write_text_atomic((json_text(obj), path))
 
 
-def write_text_atomic(text: str, path) -> None:
-    """Write ``text`` to ``path`` atomically.
+def write_text_atomic(*files: tuple[str, object]) -> None:
+    """Write each ``(text, path)`` of ``files`` atomically.
 
-    The text goes to a fresh file in the same directory, which then replaces
-    ``path`` in one rename: a failed write leaves the old file untouched and
-    removes its own partial file. An ``OSError`` then raises ValidationError
-    naming ``path``.
+    Every text first goes to a fresh file in its path's directory, and only
+    once all are written does each replace its path, one rename each: a text
+    that cannot be written leaves every old file untouched. A failure removes
+    the partial files, and an ``OSError`` raises ValidationError naming the
+    path it hit.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    staged: list[tuple[Path, Path]] = []
     try:
         try:
-            tmp.write_text(text)
-            os.replace(tmp, path)
+            for text, path in files:
+                path = Path(path)
+                staged.append((path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp"), path))
+                staged[-1][0].write_text(text)
+            for tmp, path in staged:
+                os.replace(tmp, path)
         except BaseException:
-            tmp.unlink(missing_ok=True)
+            for tmp, _ in staged:
+                tmp.unlink(missing_ok=True)
             raise
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc

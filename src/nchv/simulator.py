@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -400,9 +399,6 @@ class TrialReport:
         for row in zip(self.labels, self.counts, self.empirical, self.born, self.z_scores):
             writer.writerow(row)
         return buf.getvalue()
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=1)
 
 
 def _finish_report(kind, n_trials, labels, counts, born, config):

@@ -16,6 +16,7 @@ from nchv import opcore
 from nchv.basisfamily import BasisFamily, min_cross_commutator_norm
 from nchv.cli import build_parser, main
 from nchv.opcore import OrthonormalBasis, basis_to_json, operator_to_json
+from nchv.povmfamily import ResolutionRegistry
 
 FIXTURE = "src/nchv/fixtures/ks18_dim4.json"
 
@@ -102,6 +103,22 @@ class TestSimulatePvm:
         assert lines[0] == "label,count,empirical,born,z_score"
         assert len(lines) == 4
 
+    def test_large_scale_target_runs(self, workdir, capsys):
+        """A target with entries near 1e8, whose roundoff outgrows the absolute tolerances,
+        gives the counts of the unit-scale target and its labels times 1e8."""
+        target = json.loads((workdir / "target.json").read_text())
+        scaled = {"dim": 3, "re": [1e8 * x for x in target["re"]], "im": [1e8 * x for x in target["im"]]}
+        (workdir / "big.json").write_text(json.dumps(scaled))
+        reports = []
+        for name in ("target.json", "big.json"):
+            assert run_cli("simulate", "pvm", "--family", workdir / "family.json",
+                           "--state", workdir / "state.json", "--target", workdir / name,
+                           "--eps", 1e-6, "--trials", 400, "--report", "json") == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        unit, big = reports
+        assert big["counts"] == unit["counts"]
+        assert np.allclose(big["labels"], 1e8 * np.array(unit["labels"]), rtol=1e-12, atol=0)
+
     def test_far_target_exits_two(self, workdir, capsys):
         (workdir / "far.json").write_text(
             json.dumps(operator_to_json(np.diag([1.0, 2.0, 3.0])))
@@ -175,6 +192,43 @@ class TestSnap:
         assert code == 0
         shift = float(capsys.readouterr().out.rsplit("max shift ", 1)[1].rstrip(")\n"))
         assert 0 < shift < 1e-7
+
+
+def one_layout(text):
+    """``text`` in the one layout nchv writes JSON in, restated with the standard library."""
+    return json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
+SIMULATE_PVM = ("simulate", "pvm", "--family", "{dir}/family.json", "--state", "{dir}/state.json",
+                "--target", "{dir}/target.json", "--eps", 1e-6, "--trials", 100)
+
+
+class TestOneJsonLayout:
+    @pytest.mark.parametrize("argv", [
+        ("family", "gen", "--n", 3, "--count", 4, "--seed", 7, "--out", "{dir}/out.json"),
+        ("simulate", "povm", "--registry", "{dir}/out.json", "--state", "{dir}/state.json",
+         "--targets", "{dir}/targets.json", "--eps", 0.02, "--trials", 50),
+        ("povm", "snap", "--targets", "{dir}/targets.json", "--eps", 1e-3, "--out", "{dir}/out.json"),
+        SIMULATE_PVM + ("--report", "{dir}/out.json"),
+        SIMULATE_PVM + ("--report", "json"),
+    ], ids=["family", "registry", "snap", "report-file", "report-stdout"])
+    def test_written_json_is_one_sorted_line(self, workdir, capsys, argv):
+        assert run_cli(*(str(a).format(dir=workdir) for a in argv)) == 0
+        stdout = capsys.readouterr().out
+        text = stdout if argv[-1] == "json" else (workdir / "out.json").read_text()
+        assert text == one_layout(text)
+
+    @pytest.mark.parametrize("cls", [BasisFamily, ResolutionRegistry])
+    def test_indented_files_of_earlier_versions_load(self, tmp_path, family10, cls):
+        """A file in the indented layout that earlier versions wrote loads as the same
+        record, and saves again in the one layout."""
+        obj = family10.to_json() if cls is BasisFamily else saved_layout_registry()
+        (tmp_path / "old.json").write_text(json.dumps(obj, sort_keys=True, indent=1))
+        loaded = cls.load(tmp_path / "old.json")
+        assert loaded.to_json() == obj
+        loaded.save(tmp_path / "new.json")
+        text = (tmp_path / "new.json").read_text()
+        assert text == one_layout(text) and cls.load(tmp_path / "new.json").to_json() == obj
 
 
 @pytest.mark.parametrize("name", ["report.json", "report.csv", "snapped.json"])
@@ -268,6 +322,8 @@ SIMULATE_PVM_AT = ("simulate", "pvm", "--family", "{dir}/bad.json", "--state", "
 SIMULATE_POVM_NEW = ("simulate", "povm", "--registry", "{dir}/registry.json",
                      "--state", "{dir}/state.json", "--targets", "{dir}/targets.json",
                      "--eps", 0.5, "--trials", 10)
+SIMULATE_POVM_AT = ("simulate", "povm", "--registry", "{dir}/bad.json", "--state", "{dir}/state.json",
+                    "--targets", "{dir}/targets.json", "--eps", 0.5, "--trials", 10)
 SNAP_AT = ("povm", "snap", "--targets", "{dir}/targets.json", "--eps", 0.01, "--out", "{dir}/x.json")
 FAMILY_GEN_AT = ("family", "gen", "--n", 2, "--count", 2, "--seed", 1, "--out", "{dir}/f.json")
 
@@ -282,6 +338,17 @@ def without(argv, flag):
     """``argv`` without ``flag`` and its value."""
     at = argv.index(flag)
     return argv[:at] + argv[at + 2:]
+
+
+def registry_with(change):
+    """``saved_layout_registry()`` as JSON text, after ``change`` has edited its one entry."""
+    obj = saved_layout_registry()
+    change(obj["entries"][0])
+    return json.dumps(obj)
+
+
+RATIONAL_IDENTITY_3 = {"dim": 3, "entries": [[{"re": {"num": int(r == c), "den": 1}, "im": {"num": 0, "den": 1}}
+                                              for c in range(3)] for r in range(3)]}
 
 
 @pytest.mark.parametrize("argv, payload", [
@@ -349,6 +416,13 @@ def without(argv, flag):
     (("simulate", "povm", "--registry", "{dir}/bad.json", "--state", "{dir}/state3.json",
       "--targets", "{dir}/targets3.json", "--eps", 0.5, "--trials", 10),
      json.dumps(saved_layout_registry())),
+    (SIMULATE_POVM_NEW + ("--report", "{dir}/nodir/r.json"), None),
+    (with_value(SIMULATE_POVM_NEW, "--registry", "{dir}/nodir/r.json") + ("--report", "{dir}/out.json"), None),
+    (with_value(SIMULATE_POVM_NEW, "--registry", "{dir}/nodir/r.json") + ("--report", "json"), None),
+    (SIMULATE_POVM_AT, registry_with(lambda e: e["base"]["members"][0]["entries"][0][0]["re"].update(den=0))),
+    (SIMULATE_POVM_AT, registry_with(lambda e: e.update(index=0))),
+    (SIMULATE_POVM_AT, registry_with(lambda e: e["base"]["members"].pop())),
+    (SIMULATE_POVM_AT, registry_with(lambda e: e["base"]["members"].__setitem__(1, RATIONAL_IDENTITY_3))),
 ], ids=["malformed-json", "missing-file", "targets-without-members", "missing-family",
         "malformed-registry", "repeated-registry-index", "colliding-registry-members",
         "resolution-index-past-end",
@@ -363,10 +437,13 @@ def without(argv, flag):
         "povm-state-dimension", "pvm-state-dimension", "gen-out-missing-dir",
         "snap-out-missing-dir", "povm-registry-missing-dir", "pvm-report-missing-dir",
         "gen-out-is-a-directory", "pvm-report-unknown-suffix", "povm-report-unknown-suffix",
-        "pvm-zero-trials", "pvm-family-dimension", "vector-zero", "povm-registry-dimension"])
+        "pvm-zero-trials", "pvm-family-dimension", "vector-zero", "povm-registry-dimension",
+        "povm-report-missing-dir", "povm-registry-missing-dir-report-file",
+        "povm-registry-missing-dir-report-stdout", "registry-zero-denominator", "registry-index-zero",
+        "registry-base-of-one-member", "registry-members-of-mixed-dimension"])
 def test_unreadable_input_exits_four(tmp_path, capsys, argv, payload):
-    """Exit 4 with an error line, and nothing written: no temp file, no new registry,
-    and the input file as it was."""
+    """Exit 4 with an error line, and nothing written: no report on stdout or in a file,
+    no temp file, no new registry, and the input file as it was."""
     if payload is not None:
         (tmp_path / "bad.json").write_text(payload)
     (tmp_path / "taken.json").mkdir()
@@ -381,15 +458,14 @@ def test_unreadable_input_exits_four(tmp_path, capsys, argv, payload):
     )
     code = run_cli(*(str(a).format(dir=tmp_path) for a in argv))
     assert code == 4
-    assert "error:" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "error:" in err
+    assert out == ""
+    assert not (tmp_path / "out.json").exists()
     assert not list(tmp_path.rglob("*.tmp"))
     assert not (tmp_path / "registry.json").exists()
     if payload is not None:
         assert (tmp_path / "bad.json").read_text() == payload
-
-
-SIMULATE_POVM_AT = ("simulate", "povm", "--registry", "{dir}/bad.json", "--state", "{dir}/state.json",
-                    "--targets", "{dir}/targets.json", "--eps", 0.5, "--trials", 10)
 
 
 @pytest.mark.parametrize("argv, payload", [

@@ -34,6 +34,7 @@ from nchv.opcore import (
     subset_projection,
     validate_resolution,
     write_json,
+    write_text_atomic,
 )
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -338,6 +339,20 @@ class TestSpectralResolution:
         ranks = check_projections([p for _, p in pairs])
         assert ranks == [2, 1]
 
+    def test_large_entries_keep_small_gaps(self):
+        """The roundoff floor of diag(1, 2, 1e9) is 1e-3, so 1 and 2 stay apart."""
+        assert [v for v, _ in spectral_resolution(np.diag([1.0, 2.0, 1e9]))] == [1.0, 2.0, 1e9]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8, 1e12])
+    def test_scaled_degenerate_eigenvalues_merge(self, scale):
+        """Rotated, a degenerate pair splits by roundoff that grows with the scale."""
+        u = np.linalg.qr(random_hermitian(3, seeded(5)) + 1j * np.eye(3))[0]
+        h = scale * (u @ np.diag([1.0, 1.0, 2.0]) @ u.conj().T)
+        assert np.ptp(np.linalg.eigvalsh((h + h.conj().T) / 2)[:2]) > 0
+        pairs = spectral_resolution(h)
+        assert [v / scale for v, _ in pairs] == pytest.approx([1.0, 2.0], rel=1e-12)
+        assert check_projections([p for _, p in pairs]) == [2, 1]
+
     def test_eigenvalues_ascend(self):
         h = np.diag([3.0, -1.0, 2.0])
         vals = [v for v, _ in spectral_resolution(h)]
@@ -468,8 +483,8 @@ class TestJsonFiles:
         alias.hardlink_to(path)
         write_json({"b": 2, "a": [0.5]}, path)
         # a rewrite in place would change the shared inode as well
-        assert alias.read_text() == '{\n "b": 1\n}'
-        assert path.read_text() == '{\n "a": [\n  0.5\n ],\n "b": 2\n}'
+        assert alias.read_text() == '{"b": 1}\n'
+        assert path.read_text() == '{"a": [0.5], "b": 2}\n'
         assert read_json(path) == {"a": [0.5], "b": 2}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["alias.json", "out.json"]
 
@@ -492,8 +507,16 @@ class TestJsonFiles:
         monkeypatch.setattr(opcore.os, "replace", broken)
         with pytest.raises(expected, match=message):
             write_json({"b": 2}, path)
-        assert path.read_text() == '{\n "b": 1\n}'
+        assert path.read_text() == '{"b": 1}\n'
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_files_written_together_are_renamed_only_once_all_are_written(self, tmp_path):
+        first = tmp_path / "first.json"
+        write_json({"b": 1}, first)
+        with pytest.raises(ValidationError, match="cannot write .*nodir.*second.json"):
+            write_text_atomic(("changed\n", first), ("new\n", tmp_path / "nodir" / "second.json"))
+        assert first.read_text() == '{"b": 1}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["first.json"]
 
     def test_read_maps_file_errors_to_validation_errors(self, tmp_path):
         with pytest.raises(ValidationError, match="cannot read"):

@@ -205,7 +205,7 @@ class TestExactRepresentation:
         assert op.den == 105 and op.rows[0][1] == (F(1, 7), F(1, 5))
         assert op.to_json() == member
         path = tmp_path / "registry.json"
-        path.write_text(json.dumps(obj, sort_keys=True, indent=1))
+        path.write_text(json.dumps(obj, sort_keys=True) + "\n")
         reg = ResolutionRegistry.load(path)
         assert reg.to_json() == obj
         reg.save(tmp_path / "again.json")

@@ -320,6 +320,26 @@ class TestRunTrialsPvm:
         assert a.counts == b.counts
         assert a.tv_distance == b.tv_distance
 
+    @pytest.mark.parametrize("scale", [1e-3, 1e3, 1e5, 1e6, 1e8, 1e10])
+    def test_scaled_observable_gives_the_same_counts(self, family10, scale):
+        """The checks on an observable have a roundoff floor that grows with its entries,
+        so a scaled observable draws the same outcomes and its labels scale with it."""
+        ctx = SimulationContext(np.eye(3) / 3, family=family10)
+
+        def report(s):
+            request = MeasurementRequest.pvm(observable_on_member(family10, 2, [s, 2 * s, 3 * s]), 0.5,
+                                             apparatus_seed=7, system_seed=8)
+            return run_trials(request, 2000, ctx)
+
+        unit, scaled = report(1.0), report(scale)
+        assert scaled.counts == unit.counts
+        assert np.allclose(scaled.labels, scale * np.array(unit.labels), rtol=1e-12, atol=0)
+
+    def test_scaled_down_observable_still_merges(self, family10):
+        """Below unit scale the tolerances stay absolute: eigenvalues 1e-9 apart merge."""
+        obs = HermitianObservable.from_operator(1e-9 * observable_on_member(family10, 2, [1.0, 2.0, 3.0]))
+        assert len(obs.eigenvalues) == 1
+
     def test_statistics_track_born(self, family10):
         rng = np.random.default_rng(23)
         d = random_density(3, rng)
