@@ -152,15 +152,16 @@ def _cmd_simulate(args, kind: str) -> int:
             registry = ResolutionRegistry.load(registry_path)
         else:
             registry = ResolutionRegistry(targets[0].shape[0])
+        held = len(registry)
         context = SimulationContext(density, registry=registry,
                                     fixed_apparatus=args.fixed_apparatus)
     report = run_trials(request, args.trials, context)
     text = _report_text(report, args.report)
     report_path = args.report[1] if args.report else None
     files = [(text, report_path)] if report_path else []
-    if kind == "povm":
+    if kind == "povm" and len(registry) > held:
         files.append((json_text(registry.to_json()), registry_path))
-    # the report file and the registry are staged together, so a failed write
+    # the report file and a grown registry are staged together, so a failed write
     # leaves both as they were, and stdout gets the report only once both are written
     write_text_atomic(*files)
     if report_path is None:

@@ -201,18 +201,19 @@ def min_commutator_norm(first: np.ndarray, others: np.ndarray, stop_at: float = 
     return best
 
 
-def _roundoff_floor(mat) -> float:
-    """STRUCT_TOL times the largest |entry| of ``mat``, 0 when an entry is not
-    finite: a check on ``mat`` uses the larger of its rung and this floor."""
+def _hermitian_floor(mat) -> float | None:
+    """STRUCT_TOL times the largest |entry| of ``mat`` (0 when one is not finite), the floor a
+    check on ``mat`` uses when it exceeds the check's rung; None when some entry of mat - mat*
+    exceeds the larger of STRUCT_TOL and that floor."""
     top = float(np.abs(mat).max())
-    return STRUCT_TOL * top if top < np.inf else 0.0
+    floor = STRUCT_TOL * top if top < np.inf else 0.0
+    return floor if np.max(np.abs(mat - dagger(mat))) <= max(STRUCT_TOL, floor) else None
 
 
 def is_hermitian(op) -> bool:
     """True when every entry of op - op* is within STRUCT_TOL of zero, or
     within the roundoff floor of ``op`` when that is larger."""
-    mat = as_operator(op)
-    return bool(np.max(np.abs(mat - dagger(mat))) <= max(STRUCT_TOL, _roundoff_floor(mat)))
+    return _hermitian_floor(as_operator(op)) is not None
 
 
 def check_projections(stack) -> list[int]:
@@ -295,10 +296,10 @@ def spectral_resolution(op) -> list[tuple[float, np.ndarray]]:
     norm; a failed check raises ValidationError, the rebuild's first.
     """
     mat = as_operator(op)
-    if not is_hermitian(mat):
+    floor = _hermitian_floor(mat)
+    if floor is None:
         raise ValidationError("spectral resolution requires a Hermitian operator")
     w, v = np.linalg.eigh((mat + dagger(mat)) / 2)
-    floor = _roundoff_floor(mat)
     merge = max(EIGEN_MERGE_TOL, floor)
     pairs: list[tuple[float, np.ndarray]] = []
     start = 0

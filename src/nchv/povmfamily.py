@@ -589,18 +589,32 @@ def phase_tag(base: RationalResolution, index: int) -> TaggedResolution:
     return TaggedResolution(index=index, base=base, theta=theta, members=members)
 
 
+def _extend(held: np.ndarray, rows) -> np.ndarray:
+    """``held`` (a leading view of its buffer, or an array of its own) followed by ``rows``:
+    written into the buffer's spare rows, which double when they run out, so an append copies
+    no held row until then and earlier views keep their contents."""
+    end = len(held) + len(rows)
+    buf = held.base
+    if buf is None or len(buf) < end:
+        buf = np.empty((2 * end, *held.shape[1:]), held.dtype)
+        buf[:len(held)] = held
+    buf[len(held):end] = rows
+    return buf[:end]
+
+
 class ResolutionRegistry:
     """Registered tagged resolutions with strictly distinct indices.
 
     Every registration consumes the smallest unused index m whose tag
     displacement bound 4*(pi/4)**m fits the remaining precision budget.
-    A numeric guard rejects registrations whose members come within
-    1e-9 of an existing member of another resolution; with exact bases
-    and distinct indices that would signal an arithmetic bug.
+    A load adds the saved entries in file order through the checks a
+    registration runs. A numeric guard there rejects an entry whose members
+    come within 1e-9 of a member of another resolution, naming both indices;
+    with exact bases and distinct indices that would signal an arithmetic bug.
 
-    Lookup, the guard (over all pairs on load) and the cross-member floor each
-    make one ``spectral_distances`` pass over the held (M, n, n) float member
-    stack and its owners' indices, which ``register`` and ``from_json`` grow.
+    Lookup, the guard and the cross-member floor each make one
+    ``spectral_distances`` pass over the held (M, n, n) float member stack
+    and its owners' indices, which grow in place (``_extend``).
     """
 
     def __init__(self, dim: int):
@@ -626,27 +640,24 @@ class ResolutionRegistry:
         return m
 
     def register(self, base: RationalResolution, eps_remaining: float) -> TaggedResolution:
+        return self._add(base, self.smallest_free_index(eps_remaining))
+
+    def _add(self, base: RationalResolution, index: int) -> TaggedResolution:
         if base.dim != self.dim:
             raise ValidationError("resolution dimension does not match the registry")
-        m = self.smallest_free_index(eps_remaining)
-        tagged = phase_tag(base, m)
-        self._check_disjoint(tagged)
-        self._append([tagged])
-        return tagged
-
-    def _append(self, tagged: list[TaggedResolution]) -> None:
-        self._members = np.concatenate([self._members, *(t.members for t in tagged)])
-        self._owners = np.append(self._owners, np.array([t.index for t in tagged for _ in t.members],
-                                                        np.int64))
-        self._sizes = np.append(self._sizes, np.array([t.k for t in tagged], np.int64))
-        self.entries += tagged
-        self._used.update(t.index for t in tagged)
-
-    def _check_disjoint(self, tagged: TaggedResolution) -> None:
+        if index in self._used:
+            raise ValidationError(f"registry index {index} appears twice")
+        tagged = phase_tag(base, index)
         _, cols, dist = spectral_distances(tagged.members, self._members, DISJOINTNESS_FLOOR)
         for j in cols[dist <= DISJOINTNESS_FLOOR]:
-            raise RegistryCollisionError("member of new registration coincides with one of "
+            raise RegistryCollisionError(f"member of index {index} coincides with one of "
                                          f"index {self._owners[j]}")
+        self._members = _extend(self._members, tagged.members)
+        self._owners = _extend(self._owners, [index] * tagged.k)
+        self._sizes = _extend(self._sizes, [tagged.k])
+        self.entries.append(tagged)
+        self._used.add(index)
+        return tagged
 
     def candidates_within(self, targets, eps: float) -> list[TaggedResolution]:
         """Registered resolutions whose members match ``targets`` indexwise within eps."""
@@ -679,21 +690,8 @@ class ResolutionRegistry:
     def from_json(cls, obj) -> "ResolutionRegistry":
         node = JsonNode(obj, "registry")
         reg = cls(node["dim"].integer())
-        entries, seen = [], set()
         for entry in node["entries"].elements():
-            base = RationalResolution.from_json(entry["base"])
-            if base.dim != reg.dim:
-                raise ValidationError("registry entry dimension does not match the registry")
-            tagged = phase_tag(base, entry["index"].integer())
-            if tagged.index in seen:
-                raise ValidationError(f"registry index {tagged.index} appears twice")
-            seen.add(tagged.index)
-            entries.append(tagged)
-        reg._append(entries)
-        rows, cols, dist = spectral_distances(reg._members, None, DISJOINTNESS_FLOOR, reg._owners)
-        for i, j in zip(rows[dist <= DISJOINTNESS_FLOOR], cols[dist <= DISJOINTNESS_FLOOR]):
-            raise RegistryCollisionError(f"member of index {reg._owners[i]} coincides with one "
-                                         f"of index {reg._owners[j]}")
+            reg._add(RationalResolution.from_json(entry["base"]), entry["index"].integer())
         return reg
 
     def save(self, path) -> None:

@@ -1,5 +1,6 @@
 """Family generation, incompatibility checks, and the repair loop."""
 
+import dataclasses
 import gc
 import json
 import weakref
@@ -256,3 +257,15 @@ class TestNearestMember:
                  for i in (5, 2)]
         fam = BasisFamily(3, 1.7, 1e-8, 0, (family10.members[0], *twins))
         assert nearest_member(fam, family10.members[3].basis)[0] == 5
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda family10: repair_member(family10.members[0].basis, family10.stack, 0.0,
+                                    np.random.default_rng(0), 10, 0), "budget must be positive"),
+    (lambda family10: generate_family(3, 0, seed=1), "count must be at least 1"),
+    (lambda family10: nearest_member(dataclasses.replace(family10, members=()),
+                                     family10.members[0].basis), "family has no members"),
+], ids=["repair-budget-zero", "count-zero", "nearest-in-empty-family"])
+def test_malformed_input_is_a_validation_error(family10, call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call(family10)

@@ -163,6 +163,30 @@ class TestSimulatePovm:
         second = json.loads(reg.read_text())
         assert len(first["entries"]) == len(second["entries"]) == 1
 
+    @staticmethod
+    def _request(workdir, targets):
+        return ("simulate", "povm", "--registry", workdir / "registry.json",
+                "--state", workdir / "state.json", "--targets", workdir / targets,
+                "--eps", 0.02, "--trials", 300)
+
+    def test_a_hit_leaves_the_registry_file_alone(self, workdir):
+        reg = workdir / "registry.json"
+        assert run_cli(*self._request(workdir, "targets.json")) == 0
+        before = reg.stat().st_ino, reg.read_bytes()
+        assert run_cli(*self._request(workdir, "targets.json")) == 0
+        assert (reg.stat().st_ino, reg.read_bytes()) == before
+
+    def test_a_miss_writes_the_grown_registry(self, workdir):
+        reg = workdir / "registry.json"
+        assert run_cli(*self._request(workdir, "targets.json")) == 0
+        inode = reg.stat().st_ino
+        other = random_resolution(3, 3, np.random.default_rng(43))
+        (workdir / "other.json").write_text(
+            json.dumps({"members": [operator_to_json(t) for t in other]}))
+        assert run_cli(*self._request(workdir, "other.json")) == 0
+        assert reg.stat().st_ino != inode
+        assert len(json.loads(reg.read_text())["entries"]) == 2
+
 
 class TestSnap:
     def test_writes_rational_resolution(self, workdir, capsys):

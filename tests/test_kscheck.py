@@ -1,8 +1,10 @@
 """Truth-function search: small oracles, brute-force cross-checks, the fixture."""
 
+import dataclasses
 import gc
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,7 +167,7 @@ def _peres_24_rays():
 
 def _equivalence_cases():
     rng = np.random.default_rng(20261018)
-    cabello = rank_one_projections(json.loads(open(FIXTURE).read())["vectors"])
+    cabello = rank_one_projections(json.loads(Path(FIXTURE).read_text())["vectors"])
     sphere14 = rational_sphere_rays(14)
     triads = integer_orthogonal_triads(sphere14)
     subset = sorted({i for t in rng.choice(triads, size=30, replace=False) for i in t})
@@ -505,7 +507,7 @@ class TestFixture:
         assert res.exhausted
 
     def test_discovery_recovers_the_nine_tetrads(self, tmp_path):
-        data = json.loads(open(FIXTURE).read())
+        data = json.loads(Path(FIXTURE).read_text())
         declared = {tuple(sorted(r)) for r in data.pop("resolutions")}
         path = tmp_path / "bare.json"
         path.write_text(json.dumps(data))
@@ -514,7 +516,7 @@ class TestFixture:
 
     def test_dropping_one_resolution_restores_colorability(self, tmp_path):
         """The parity obstruction needs all nine contexts."""
-        data = json.loads(open(FIXTURE).read())
+        data = json.loads(Path(FIXTURE).read_text())
         data["resolutions"] = data["resolutions"][:-1]
         path = tmp_path / "weakened.json"
         path.write_text(json.dumps(data))
@@ -549,3 +551,13 @@ class TestFixture:
         path.write_text(json.dumps({"dim": 2}))
         with pytest.raises(ValidationError):
             load_fixture(path)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda family10: build_problem([]), "empty projection universe"),
+    (lambda family10: problem_from_family(dataclasses.replace(family10, members=())),
+     "family slice is empty"),
+], ids=["no-operators", "family-without-members"])
+def test_an_empty_universe_is_a_validation_error(family10, call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call(family10)

@@ -1,5 +1,6 @@
 """Operator-layer oracles: hand-computed values and algebraic invariants."""
 
+import re
 import warnings
 
 import numpy as np
@@ -178,6 +179,13 @@ class TestProjectionAndDensity:
     def test_dimension_mismatch_raised(self):
         with pytest.raises(DimensionMismatchError):
             require_same_dim(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("value", [np.zeros((2, 3)), np.zeros(3), np.zeros((0, 0))],
+                             ids=["rectangular", "vector", "empty"])
+    def test_non_square_operator_is_a_dimension_mismatch(self, value):
+        with pytest.raises(DimensionMismatchError,
+                           match=re.escape(f"expected a square matrix, got shape {value.shape}")):
+            opcore.as_operator(value)
 
 
 def reference_check_projection(op):
@@ -424,6 +432,9 @@ class TestValidateResolution:
 
     def test_negative_member_fails(self):
         assert not validate_resolution([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
+
+    def test_no_members_fail(self):
+        assert validate_resolution([]) is False
 
     @pytest.mark.parametrize("kind, size, expected", [
         ("skew", 5e-11, True), ("skew", 2e-10, False),

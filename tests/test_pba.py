@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_density, reference_block_assignment
+from nchv.basisfamily import generate_family
 from nchv.errors import ValidationError, WeightNormalizationError
 from nchv.opcore import OrthonormalBasis, atom_projections, operator_norm, subset_projection
 from nchv import pba
@@ -282,3 +283,16 @@ class TestBlockExtremes:
         max_within, min_cross = block_structure_extremes(pba10)
         assert max_within <= 1e-10
         assert min_cross > 1e-8
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda pba10: PartialBooleanAlgebra([]), "need at least one block"),
+    (lambda pba10: PartialBooleanAlgebra([pba10.blocks[0], generate_family(2, 1, seed=3).members[0]]),
+     "blocks live on different dimensions"),
+    (lambda pba10: PartialBooleanAlgebra([pba10.block(4), pba10.block(4)]), "duplicate block index 4"),
+    (lambda pba10: pba10.block(99), "unknown block index 99"),
+    (lambda pba10: atom_partitions(0), "need at least one atom"),
+], ids=["no-blocks", "mixed-dimensions", "duplicate-index", "unknown-index", "no-atoms"])
+def test_malformed_input_is_a_validation_error(pba10, call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call(pba10)

@@ -112,6 +112,23 @@ class TestRationalOperator:
         with pytest.raises(ValidationError, match=re.escape(f"rational operator.{message}") + "$"):
             RationalOperator.from_json(obj)
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: RationalOperator([[1]], [[0, 0]]), ValidationError,
+         "rational operator must be square and nonempty"),
+        (lambda: RationalOperator([], []), ValidationError, "rational operator must be square and nonempty"),
+        (lambda: RationalOperator([[1]], [[0]], 0), ValidationError,
+         "rational operator denominator must be positive"),
+        (lambda: setattr(RationalOperator.identity(2), "den", 2), AttributeError,
+         "RationalOperator is immutable"),
+        (lambda: RationalOperator.identity(2) + RationalOperator.identity(3), ValidationError,
+         "rational operator dimension mismatch"),
+        (lambda: RationalOperator.identity(2) @ np.eye(2), ValidationError,
+         "rational operator dimension mismatch"),
+    ], ids=["ragged", "empty", "zero-denominator", "assignment", "other-dimension", "not-rational"])
+    def test_malformed_operations_raise(self, call, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
+
     def test_json_entries_are_read_without_a_node_per_key(self, monkeypatch):
         keys = []
         real = opcore.JsonNode.__getitem__
@@ -688,6 +705,10 @@ class TestRegistry:
         obj["entries"] = [dict(entry, index=90), dict(entry, index=91)]
         with pytest.raises(RegistryCollisionError, match="index 91 coincides with one of index 90$"):
             ResolutionRegistry.from_json(obj)
+        # entries are added in file order, so the collision outranks a malformed later entry
+        obj["entries"].append(dict(entry, index=2.5))
+        with pytest.raises(RegistryCollisionError, match="index 91 coincides with one of index 90$"):
+            ResolutionRegistry.from_json(obj)
 
     def test_register_and_load_hold_the_same_member_stack(self, tmp_path):
         reg = self._mixed_registry()
@@ -755,13 +776,27 @@ class TestRegistry:
         assert reg.candidates_within(list(reg.entries[0].members), eps) == [reg.entries[0]]
         assert calls == [1]
 
-    def test_collision_guard_catches_a_copied_member_set(self):
+    def test_collision_guard_catches_a_copied_member_set(self, monkeypatch):
         reg = self._mixed_registry()
         target = reg.entries[3]
-        copy = dataclasses.replace(phase_tag(target.base, 90), members=target.members)
-        with pytest.raises(RegistryCollisionError, match=f"index {target.index}$"):
-            reg._check_disjoint(copy)
-        reg._check_disjoint(phase_tag(target.base, 30))
+        monkeypatch.setattr(povmfamily, "phase_tag", lambda base, index: dataclasses.replace(
+            phase_tag(base, index), members=target.members))
+        with pytest.raises(RegistryCollisionError,
+                           match=f"member of index 90 coincides with one of index {target.index}$"):
+            reg.register(target.base, 4 * (math.pi / 4) ** 90)
+        assert len(reg) == 6 and len(reg._members) == 16
+        monkeypatch.undo()
+        assert reg.register(target.base, 4 * (math.pi / 4) ** 30).index == 30
+
+    def test_registration_into_spare_rows_copies_no_held_member(self):
+        rng = np.random.default_rng(22)
+        reg = ResolutionRegistry(2)
+        reg.register(self._base(rng, k=2), 0.5)
+        held = reg._members
+        before = held.copy()
+        reg.register(self._base(rng, k=2), 0.5)
+        assert np.shares_memory(held, reg._members) and np.array_equal(held, before)
+        assert np.array_equal(reg._members[:2], before) and len(reg._members) == 4
 
     def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
         reg = self._mixed_registry()

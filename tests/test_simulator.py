@@ -614,3 +614,18 @@ class TestAudit:
         ctx = SimulationContext(np.eye(2) / 2, registry=ResolutionRegistry(2))
         with pytest.raises(ValidationError):
             run_noncontextuality_audit(req, ctx, 10)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda family10: MeasurementRequest("pvm", None, None, 0.5, 0, 1),
+     "projective request needs an observable"),
+    (lambda family10: realize_pvm(POVM_NO_SOURCE, family10, np.random.default_rng(0)),
+     "not a projective request"),
+    (lambda family10: realize_povm(PVM_NO_SOURCE, ResolutionRegistry(3), np.random.default_rng(0)),
+     "not a positive-operator request"),
+    (lambda family10: TrialReport("pvm", 7, (0, 1), (3, 4), (3 / 7, 4 / 7), (0.5, 0.6), 0.0,
+                                  (0.0, 0.0), {}), "reference distribution does not sum to 1"),
+], ids=["pvm-without-observable", "realize-pvm-of-povm", "realize-povm-of-pvm", "born-sum"])
+def test_a_request_or_report_of_the_wrong_shape_is_a_validation_error(family10, call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call(family10)
