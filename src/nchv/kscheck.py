@@ -18,7 +18,9 @@ the stacked operators.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .opcore import (
     SPECTRAL_TOL,
     JsonNode,
     as_operator,
+    atom_projections,
     check_projections,
     operator_from_json,
     read_json,
@@ -273,21 +276,35 @@ def find_truth_functions(problem: ValuationProblem, limit=None) -> SearchResult:
     ``limit`` stops the enumeration once that many solutions are in hand;
     a run cut short reports exhausted False. Raises SearchCapError past
     DEFAULT_SEARCH_BUDGET decisions, and ValidationError for a limit below 1.
+
+    A cut is an index t >= 1 where no resolution holds both an index below
+    t and one from t on. The subtree below a node whose lowest undecided
+    index is a cut is the same at every such node, so it is searched once
+    and replayed. ``nodes`` and the budget count every decision of the plain
+    search, replayed ones included; enumerating the blocks of
+    ``problem_from_family`` takes time in proportion to its truth functions.
     """
     if limit is not None and limit < 1:
         raise ValidationError(f"limit must be at least 1, got {limit}")
     n = problem.size
     ctxs = [list(r) for r in problem.resolutions]
     var_ctxs: list[list[int]] = [[] for _ in range(n)]
+    spans = [0] * (n + 1)  # differences of the count of resolutions spanning from t - 1 to t
     for ci, ctx in enumerate(ctxs):
         for v in ctx:
             var_ctxs[v].append(ci)
+        if ctx:
+            spans[min(ctx) + 1] += 1
+            spans[max(ctx) + 1] -= 1
+    cuts = {t for t, spanned in enumerate(accumulate(spans)) if t and not spanned}
 
     values = [-1] * n
     ones = [0] * len(ctxs)
     undecided = [len(c) for c in ctxs]
     trail: list[int] = []
     solutions: list[tuple[int, ...]] = []
+    found_at = array("q")  # nodes counted when each solution was found
+    searched = {}  # cut -> first solution and nodes on arrival, then also after its first search
     nodes = 0
 
     def assign(var, val) -> bool:
@@ -295,8 +312,6 @@ def find_truth_functions(problem: ValuationProblem, limit=None) -> SearchResult:
         while queue:
             v, x = queue.pop()
             if values[v] != -1:
-                if values[v] != x:
-                    return False
                 continue
             values[v] = x
             trail.append(v)
@@ -307,9 +322,7 @@ def find_truth_functions(problem: ValuationProblem, limit=None) -> SearchResult:
                 if x == 1:
                     ones[ci] += 1
             for ci in var_ctxs[v]:
-                if ones[ci] > 1:
-                    return False
-                if ones[ci] == 0 and undecided[ci] == 0:
+                if ones[ci] > 1 or ones[ci] == undecided[ci] == 0:
                     return False
                 if x == 1:
                     for w in ctxs[ci]:
@@ -331,23 +344,39 @@ def find_truth_functions(problem: ValuationProblem, limit=None) -> SearchResult:
 
     # branches still to try, deepest last: (trail length before it, variable, value)
     pending = [(0, None, None)]
-    while pending:
+    while pending and nodes <= DEFAULT_SEARCH_BUDGET:
         mark, var, val = pending.pop()
         undo(mark)
+        if val is None and var is not None:  # the first search below cut var is over
+            searched[var] += (len(solutions), nodes)
+            continue
         if var is not None:
             nodes += 1
-            if nodes > DEFAULT_SEARCH_BUDGET:
-                raise SearchCapError(
-                    f"truth-function search exceeded {DEFAULT_SEARCH_BUDGET} nodes")
-            if not assign(var, val):
+            if nodes > DEFAULT_SEARCH_BUDGET or not assign(var, val):
                 continue
         var = next((i for i in range(n) if values[i] == -1), None)
+        if var is not None and var not in searched:
+            if var in cuts:
+                searched[var] = (len(solutions), nodes)
+                pending.append((len(trail), var, None))
+            pending += [(len(trail), var, 1), (len(trail), var, 0)]
+            continue
         if var is None:
             solutions.append(tuple(values))
-            if limit is not None and len(solutions) >= limit:
-                return SearchResult(tuple(solutions), False, nodes)
-        else:
-            pending += [(len(trail), var, 1), (len(trail), var, 0)]
+            found_at.append(nodes)
+        else:  # replay the first search below this cut
+            start, first, end, last = searched[var]
+            prefix, arrival, nodes = tuple(values[:var]), nodes, nodes + last - first
+            for i in range(start, end):
+                count = arrival + found_at[i] - first
+                if count > DEFAULT_SEARCH_BUDGET:
+                    break
+                solutions.append(prefix + solutions[i][var:])
+                found_at.append(count)
+        if limit is not None and len(solutions) >= limit:
+            return SearchResult(tuple(solutions[:limit]), False, found_at[limit - 1])
+    if nodes > DEFAULT_SEARCH_BUDGET:
+        raise SearchCapError(f"truth-function search exceeded {DEFAULT_SEARCH_BUDGET} nodes")
     return SearchResult(tuple(solutions), True, nodes)
 
 def verify_solution(problem: ValuationProblem, values) -> bool:
@@ -361,8 +390,6 @@ def verify_solution(problem: ValuationProblem, values) -> bool:
 
 def problem_from_family(family, count=None) -> ValuationProblem:
     """Universe of member atoms; one resolution per member, nothing shared."""
-    from .opcore import atom_projections
-
     if count is not None and count < 1:
         raise ValidationError(f"count must be at least 1, got {count}")
     members = family.members if count is None else family.members[:count]

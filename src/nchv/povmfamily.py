@@ -623,6 +623,7 @@ class ResolutionRegistry:
         self.dim = dim
         self.entries: list[TaggedResolution] = []
         self._used: set[int] = set()
+        self._walked = {}  # a budget's first index -> end of its last walk; all between stay used
         self._members, self._owners = np.empty((0, dim, dim), dtype=complex), np.empty(0, np.int64)
         self._sizes = np.empty(0, np.int64)
 
@@ -635,9 +636,11 @@ class ResolutionRegistry:
         m = 1
         while 4.0 * (math.pi / 4.0) ** m > eps_remaining:
             m += 1
-        while m in self._used:
-            m += 1
-        return m
+        free = self._walked.get(m, m)
+        while free in self._used:
+            free += 1
+        self._walked[m] = free
+        return free
 
     def register(self, base: RationalResolution, eps_remaining: float) -> TaggedResolution:
         return self._add(base, self.smallest_free_index(eps_remaining))

@@ -380,6 +380,90 @@ def reference_discover_resolutions(ops, ranks, node_budget=200_000):
     return found
 
 
+def reference_truth_functions(problem, limit=None):
+    """The plain depth-first truth-function search that the replaying one must agree with.
+
+    Backtracking with unit propagation, lowest undecided index first, 0
+    before 1, and every subtree searched anew wherever it is reached.
+    Returns (solutions, exhausted, nodes) and raises the same
+    SearchCapError once ``kscheck.DEFAULT_SEARCH_BUDGET``, read at call
+    time, is exceeded.
+    """
+    from nchv import kscheck
+    from nchv.errors import SearchCapError
+
+    n = problem.size
+    ctxs = [list(r) for r in problem.resolutions]
+    var_ctxs = [[] for _ in range(n)]
+    for ci, ctx in enumerate(ctxs):
+        for v in ctx:
+            var_ctxs[v].append(ci)
+
+    values = [-1] * n
+    ones = [0] * len(ctxs)
+    undecided = [len(c) for c in ctxs]
+    trail = []
+    solutions = []
+    nodes = 0
+
+    def assign(var, val):
+        queue = [(var, val)]
+        while queue:
+            v, x = queue.pop()
+            if values[v] != -1:
+                if values[v] != x:
+                    return False
+                continue
+            values[v] = x
+            trail.append(v)
+            for ci in var_ctxs[v]:
+                undecided[ci] -= 1
+                if x == 1:
+                    ones[ci] += 1
+            for ci in var_ctxs[v]:
+                if ones[ci] > 1:
+                    return False
+                if ones[ci] == 0 and undecided[ci] == 0:
+                    return False
+                if x == 1:
+                    for w in ctxs[ci]:
+                        if values[w] == -1:
+                            queue.append((w, 0))
+                elif ones[ci] == 0 and undecided[ci] == 1:
+                    forced = next(w for w in ctxs[ci] if values[w] == -1)
+                    queue.append((forced, 1))
+        return True
+
+    def undo(mark):
+        while len(trail) > mark:
+            v = trail.pop()
+            for ci in var_ctxs[v]:
+                undecided[ci] += 1
+                if values[v] == 1:
+                    ones[ci] -= 1
+            values[v] = -1
+
+    pending = [(0, None, None)]
+    while pending:
+        mark, var, val = pending.pop()
+        undo(mark)
+        if var is not None:
+            nodes += 1
+            if nodes > kscheck.DEFAULT_SEARCH_BUDGET:
+                raise SearchCapError(
+                    f"truth-function search exceeded {kscheck.DEFAULT_SEARCH_BUDGET} nodes")
+            if not assign(var, val):
+                continue
+        var = next((i for i in range(n) if values[i] == -1), None)
+        if var is None:
+            solutions.append(tuple(values))
+            if limit is not None and len(solutions) >= limit:
+                return tuple(solutions), False, nodes
+        else:
+            pending += [(len(trail), var, 1), (len(trail), var, 0)]
+    return tuple(solutions), True, nodes
+
+
 def rational_sphere_rays(bound):
     """Primitive integer rays (a, b, c), first nonzero coordinate positive,
     |coordinates| <= bound, whose squared norm is a perfect square."""

@@ -18,6 +18,7 @@ from helpers import (
     rational_sphere_rays,
     reference_dedup,
     reference_discover_resolutions,
+    reference_truth_functions,
 )
 from nchv import kscheck
 from nchv.basisfamily import generate_family, haar_basis
@@ -473,6 +474,79 @@ class TestFindTruthFunctions:
         finally:
             gc.enable()
         assert len(found) == 9
+
+
+def _random_search_problem(rng):
+    """Concatenated blocks, some with a second resolution inside, some indices
+    in no resolution, a few resolutions across blocks and, now and then, an
+    index listed twice in one resolution."""
+    resolutions, n = [], 0
+    for _ in range(rng.integers(1, 6)):
+        size = int(rng.integers(1, 5))
+        block = list(range(n, n + size))
+        resolutions.append(block)
+        if size > 1 and rng.random() < 0.4:
+            part = rng.choice(block, size=int(rng.integers(1, size + 1)), replace=False)
+            resolutions.append(sorted(part.tolist()))
+        n += size + int(rng.random() < 0.2)
+    for _ in range(rng.binomial(2, 0.25)):
+        across = rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False)
+        resolutions.append(sorted(across.tolist()))
+    if rng.random() < 0.1:
+        twice = resolutions[rng.integers(len(resolutions))]
+        twice.append(twice[0])
+    return ValuationProblem((np.zeros((1, 1)),) * n, tuple(map(tuple, resolutions)), 1)
+
+
+def _search_outcome(search, problem, limit):
+    try:
+        result = search(problem, limit)
+    except SearchCapError as exc:
+        return str(exc)
+    return result if isinstance(result, tuple) else (result.solutions, result.exhausted, result.nodes)
+
+
+class TestReplayedSearch:
+    """The search that replays the subtree below a cut against the plain one."""
+
+    def test_matches_the_plain_search_on_random_problems(self, monkeypatch):
+        rng = np.random.default_rng(2027)
+        default = kscheck.DEFAULT_SEARCH_BUDGET
+        seen = {"capped": 0, "limited": 0, "unsatisfiable": 0, "replayed": 0}
+        for _ in range(2000):
+            problem = _random_search_problem(rng)
+            limit = (None, 1, 2, 3, 7)[rng.integers(5)]
+            budget = int(rng.integers(1, 61)) if rng.random() < 1 / 3 else default
+            monkeypatch.setattr(kscheck, "DEFAULT_SEARCH_BUDGET", budget)
+            expected = _search_outcome(reference_truth_functions, problem, limit)
+            assert _search_outcome(find_truth_functions, problem, limit) == expected
+            if isinstance(expected, str):
+                seen["capped"] += 1
+                continue
+            solutions, exhausted, _ = expected
+            seen["limited"] += not exhausted
+            seen["unsatisfiable"] += not solutions
+            cuts = [t for t in range(1, problem.size)
+                    if not any(min(r) < t <= max(r) for r in problem.resolutions)]
+            seen["replayed"] += any(len({s[:t] for s in solutions}) > 1 for t in cuts)
+        assert all(count >= 100 for count in seen.values()), seen
+
+    @pytest.mark.parametrize("build, solutions, nodes", [
+        (lambda family10: load_fixture(FIXTURE), 0, 48),
+        (lambda family10: build_problem(EQUIVALENCE["peres-24"], discover=True), 0, 30),
+        (lambda family10: build_problem(EQUIVALENCE["peres-33"], discover=True), 3072, 6142),
+        (lambda family10: problem_from_family(family10, count=9), 3**9, 39_364),
+        (lambda family10: problem_from_family(family10, count=10), 3**10, 118_096),
+    ], ids=["cabello-18", "peres-24", "peres-33", "family-9", "family-10"])
+    def test_counts_of_the_plain_search(self, family10, monkeypatch, build, solutions, nodes):
+        problem = build(family10)
+        result = find_truth_functions(problem)
+        assert (len(result.solutions), result.exhausted, result.nodes) == (solutions, True, nodes)
+        assert len(set(result.solutions)) == solutions
+        # the budget counts replayed decisions too: one node fewer ends the search
+        monkeypatch.setattr(kscheck, "DEFAULT_SEARCH_BUDGET", nodes - 1)
+        with pytest.raises(SearchCapError, match=f"exceeded {nodes - 1} nodes"):
+            find_truth_functions(problem)
 
 
 class TestVerifySolution:

@@ -630,6 +630,52 @@ class TestRegistry:
         second = reg.register(self._base(rng), 0.5)
         assert (first.index, second.index) == (9, 10)
 
+    @staticmethod
+    def _linear_free_index(reg, budget):
+        m = 1
+        while 4.0 * (math.pi / 4.0) ** m > budget:
+            m += 1
+        used = {e.index for e in reg.entries}
+        while m in used:
+            m += 1
+        return m
+
+    def test_resumed_walk_matches_a_linear_walk_over_mixed_budgets(self):
+        rng = np.random.default_rng(20)
+        reg = ResolutionRegistry(2)
+        # first indices 9, 5, 16 and 8: walks that start inside one another's runs
+        for budget in (0.5, 0.5, 1.2, 0.1, 0.5, 1.2, 1.2, 0.1, 0.6, 0.5) * 3:
+            expected = self._linear_free_index(reg, budget)
+            assert reg.smallest_free_index(budget) == expected
+            assert reg.register(self._base(rng), budget).index == expected
+        assert len({e.index for e in reg.entries}) == 30
+
+    def test_resumed_walk_on_a_registry_loaded_with_gaps(self):
+        rng = np.random.default_rng(21)
+        reg = ResolutionRegistry(2)
+        for _ in range(5):
+            reg.register(self._base(rng), 0.5)
+        obj = reg.to_json()
+        for entry, index in zip(obj["entries"], (9, 11, 12, 15, 16)):
+            entry["index"] = index
+        loaded = ResolutionRegistry.from_json(obj)
+        taken = []
+        for budget in (0.5, 0.3, 0.5, 0.5, 0.3, 0.5):
+            expected = self._linear_free_index(loaded, budget)
+            assert loaded.smallest_free_index(budget) == expected
+            taken.append(loaded.register(self._base(rng), budget).index)
+        assert taken == [10, 13, 14, 17, 18, 19]
+
+    def test_resumed_walk_after_a_refused_registration(self):
+        rng = np.random.default_rng(18)
+        base = self._base(rng)
+        reg = ResolutionRegistry(2)
+        first = reg.register(base, 1.3e-10).index
+        with pytest.raises(RegistryCollisionError):
+            reg.register(base, 1.3e-10)
+        assert reg.smallest_free_index(1.3e-10) == self._linear_free_index(reg, 1.3e-10) == first + 1
+        assert reg.register(self._base(rng), 1.3e-10).index == first + 1
+
     def test_cache_hit_after_registration(self):
         rng = np.random.default_rng(17)
         targets = random_resolution(2, 3, rng)
